@@ -59,6 +59,11 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so stalled connections cannot pin server
+// goroutines; keep-alive idle time is not affected.
+const readHeaderTimeout = 10 * time.Second
+
 func run(addr string, cfg serverConfig, drainTimeout time.Duration) error {
 	s, err := newServer(cfg)
 	if err != nil {
@@ -72,7 +77,7 @@ func run(addr string, cfg serverConfig, drainTimeout time.Duration) error {
 	// and scrape the real port.
 	fmt.Printf("hmcsimd listening on %s\n", ln.Addr())
 
-	srv := &http.Server{Handler: s.handler()}
+	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 

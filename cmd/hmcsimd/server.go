@@ -295,11 +295,21 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a request body. Every request shape is a small
+// JSON document, so a larger body is refused with 413 instead of being
+// buffered.
+const maxBodyBytes = 1 << 20
+
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true

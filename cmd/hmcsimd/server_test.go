@@ -491,6 +491,25 @@ func TestHealthAndScenarios(t *testing.T) {
 	}
 }
 
+// TestBodyTooLarge: a body past the 1 MiB cap is refused with 413
+// before it is decoded, and the server keeps serving.
+func TestBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	body := `{"name": "` + strings.Repeat("a", 2<<20) + `"}`
+	resp, b := post(t, ts.URL+"/v1/run", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: %d %s, want 413", resp.StatusCode, b)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the oversized body: %d, want 200", hr.StatusCode)
+	}
+}
+
 // TestSweepTooLarge guards the expansion bound.
 func TestSweepTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{})

@@ -118,19 +118,14 @@ type PortConfig struct {
 	StrideBytes          uint64
 	JumpEvery            int
 
-	// IssueInterval switches the port to open-loop injection: arrivals
-	// are paced at this fixed interval instead of one per backend
-	// issue cycle. Open-loop pacing keeps an absolute arrival
-	// schedule — backpressure delays requests but never depresses
-	// offered load — while zero keeps the closed-loop hardware
-	// cadence, which is a throughput bound, not an arrival clock, and
-	// re-bases off the issuing instant.
-	IssueInterval sim.Duration
-	// Schedule switches the port to phase-scripted open-loop
-	// injection: a cyclic sequence of pacing steps, anchored at run
-	// start, replayed for as long as the port issues. Takes precedence
-	// over IssueInterval.
-	Schedule []RateStep
+	// Arrivals switches the port to open-loop injection: requests
+	// arrive on this clock instead of one per backend issue cycle.
+	// Open-loop pacing keeps an absolute arrival schedule —
+	// backpressure delays requests but never depresses offered load —
+	// while nil keeps the closed-loop hardware cadence, which is a
+	// throughput bound, not an arrival clock, and re-bases off the
+	// issuing instant.
+	Arrivals Arrivals
 	// Outstanding caps the closed-loop window below the hardware
 	// depths: reads are bounded by min(read depth, Outstanding) and
 	// writes by min(write depth, Outstanding). Zero keeps the full
@@ -138,12 +133,11 @@ type PortConfig struct {
 	Outstanding int
 }
 
-// RateStep is one step of a cyclic open-loop pacing schedule.
-type RateStep struct {
-	// Interval is the arrival spacing during the step (>= 1 ps).
-	Interval sim.Duration
-	// Duration is the step length (> 0).
-	Duration sim.Duration
+// Arrivals is an open-loop arrival clock. Next returns the arrival
+// instant that follows the one at t; a port calls it once per issued
+// arrival, in order, starting from time 0.
+type Arrivals interface {
+	Next(t sim.Time) sim.Time
 }
 
 // Port is the event-driven model of one GUPS port: it issues at most
@@ -161,13 +155,6 @@ type Port struct {
 	tagDepth   int
 	wfifoDepth int
 	interval   sim.Duration
-	// openLoop marks a paced arrival stream (IssueInterval or
-	// Schedule): nextIssue then advances along an absolute schedule
-	// instead of re-basing off the issuing instant, so admission
-	// stalls delay arrivals without depressing offered load.
-	openLoop   bool
-	sched      []RateStep
-	schedCycle sim.Duration
 	// wireRead/wireWrite cache the backend's per-transaction wire
 	// cost, so the completion path makes no interface calls.
 	wireRead, wireWrite uint64
@@ -223,17 +210,6 @@ func NewPort(id int, b mem.Backend, cfg PortConfig) *Port {
 		if cfg.Outstanding < p.wfifoDepth {
 			p.wfifoDepth = cfg.Outstanding
 		}
-	}
-	if cfg.IssueInterval > 0 {
-		p.interval = cfg.IssueInterval
-		p.openLoop = true
-	}
-	if len(cfg.Schedule) > 0 {
-		p.sched = cfg.Schedule
-		for _, st := range cfg.Schedule {
-			p.schedCycle += st.Duration
-		}
-		p.openLoop = true
 	}
 	p.wake = p.wakeUp
 	p.readDone = p.onReadDone
@@ -359,14 +335,14 @@ func (p *Port) tryIssue() {
 		p.tagsInUse++
 		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Size}, p.readDone)
 	}
-	if p.openLoop {
+	if a := p.cfg.Arrivals; a != nil {
 		// The absolute arrival schedule: advance from the previous
 		// arrival instant, never from now — re-basing here would let
 		// every admission stall permanently shift later arrivals,
 		// sagging offered load below the configured rate exactly in
 		// the saturated region. Arrivals the stall delayed issue
 		// back-to-back until the schedule catches up.
-		p.nextIssue += p.paceInterval(p.nextIssue)
+		p.nextIssue = a.Next(p.nextIssue)
 	} else {
 		// Closed loop: the hardware issue cadence is a minimum spacing
 		// from the actual issue, not an arrival clock.
@@ -377,23 +353,6 @@ func (p *Port) tryIssue() {
 		at = now
 	}
 	p.armRetry(at)
-}
-
-// paceInterval evaluates the open-loop arrival spacing at schedule
-// time t: the fixed interval, or the cyclic step schedule's interval
-// at t.
-func (p *Port) paceInterval(t sim.Time) sim.Duration {
-	if p.sched == nil {
-		return p.interval
-	}
-	off := sim.Duration(t) % p.schedCycle
-	for _, st := range p.sched {
-		if off < st.Duration {
-			return st.Interval
-		}
-		off -= st.Duration
-	}
-	return p.sched[len(p.sched)-1].Interval
 }
 
 // armRetry schedules the next issue attempt, collapsing duplicates.

@@ -6,6 +6,7 @@ import (
 	"hmcsim/internal/chain"
 	"hmcsim/internal/ddr"
 	"hmcsim/internal/gups"
+	"hmcsim/internal/hmc"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
 )
@@ -47,6 +48,31 @@ func TestDDRUniformMatchesRunLoad(t *testing.T) {
 	if sl.N() != rl.N() || sl.Mean() != rl.Mean() || sl.Min() != rl.Min() || sl.Max() != rl.Max() {
 		t.Errorf("latency: scenario n=%d mean=%v [%v..%v] != RunLoad n=%d mean=%v [%v..%v]",
 			sl.N(), sl.Mean(), sl.Min(), sl.Max(), rl.N(), rl.Mean(), rl.Min(), rl.Max())
+	}
+}
+
+// TestHMCGeometrySplit pins a known quirk of the two hmc runners:
+// gups.Port rigs keep gups.Config's default HMC10 cube (512 MB, 8
+// banks/vault), on which the paper figures were recorded, while the
+// tenant-driver runner (thermal, faults, burst, ramps, lifecycle)
+// builds the AC-510's HMC11 part (4 GB, 16 banks/vault). Unifying them
+// moves recorded driver-path outputs, so it waits for one hmc runner.
+func TestHMCGeometrySplit(t *testing.T) {
+	spec := mustByName(t, "uniform").withDefaults()
+	o := quick().withDefaults()
+	rigs, _, err := buildRigs(spec, o, sim.NewMesh(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rigs[0].Backend.CapacityBytes(), hmc.Geometries(hmc.HMC10).SizeBytes; got != want {
+		t.Errorf("gups.Port runner cube = %d B, want HMC10's %d B", got, want)
+	}
+	backends, err := buildBackends(spec, o, sim.NewMesh(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := backends[0].CapacityBytes(), hmc.Geometries(hmc.HMC11).SizeBytes; got != want {
+		t.Errorf("driver runner cube = %d B, want HMC11's %d B", got, want)
 	}
 }
 

@@ -1,25 +1,21 @@
 package scenario
 
 import (
-	"fmt"
-	"math"
-
 	"hmcsim/internal/fault"
 	"hmcsim/internal/gups"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
-	"hmcsim/internal/workloads"
 )
 
 // tenantDriver is one tenant's injector over a mem.Backend port: a
 // closed-loop outstanding window (Outstanding x Ports requests in
 // flight) or an open-loop paced arrival stream, addresses from the
 // tenant's generator over the backend's global address space. It is
-// the backend-generic compilation target for every topology that does
-// not model per-port issue hardware (the hmc backend keeps the
-// cycle-accurate gups.Port loop); because it only speaks mem.Port,
-// the same driver runs unmodified on chain and ddr4 backends — and on
-// any fourth backend the mem package grows.
+// the backend-generic compilation target: because it only speaks
+// mem.Port, the same driver runs unmodified on chain and ddr4, on the
+// hmc runs the cycle-accurate gups.Port loops do not take (decorated,
+// bursty, ramped or churned), and on any fourth backend the mem
+// package grows.
 type tenantDriver struct {
 	eng      *sim.Engine
 	port     mem.Port
@@ -46,25 +42,13 @@ type tenantDriver struct {
 	offset  uint64
 	horizon sim.Time
 
-	// Open-loop pacing state. The driver keeps an ABSOLUTE arrival
-	// schedule: nextIssue advances along the configured rate curve
-	// (fixed interval, phase script or burst process) and is never
-	// re-based off Now(), so a window-full or admission stall delays
-	// requests but cannot depress offered load — delayed arrivals
-	// catch up back-to-back once the window frees. The driver is its
-	// own pacing event, so arming a wakeup never allocates.
-	paced    bool
-	interval sim.Duration // fixed aggregate interval (mode "open")
-	phases   []phaseSeg   // cyclic aggregate rate curve (mode "phased")
-	cycle    sim.Duration
-	// Burst (MMPP) state: per-state aggregate pacing intervals
-	// (idleIv 0 = silent idle), mean dwells in ps, and the seeded
-	// state timeline.
-	burstIv, idleIv     sim.Duration
-	burstMean, idleMean float64
-	paceRNG             *sim.RNG
-	inBurst             bool
-	stateEnd            sim.Time
+	// arrivals paces an open-loop tenant (nil = closed loop): nextIssue
+	// walks the clock's ABSOLUTE schedule and is never re-based off
+	// Now(), so a window-full or admission stall delays requests but
+	// cannot depress offered load — delayed arrivals catch up
+	// back-to-back once the window frees. The driver is its own pacing
+	// event, so arming a wakeup never allocates.
+	arrivals *arrivals
 	// startAt is the tenant's lifecycle start (horizon already holds
 	// its Stop clip); arrivals and the closed-loop window both open
 	// there.
@@ -135,18 +119,13 @@ type opTimeout struct{ op *clientOp }
 func (e *opTimeout) Fire(*sim.Engine) { e.op.fireTimeout() }
 
 // newTenantDriver lowers tenant index ti of the (defaulted) spec onto
-// a backend. The seed and linear-start derivations match the GUPS
-// rig's per-port ones, keyed by tenant index, so a spec replays
-// byte-identically across runs and worker counts.
-func newTenantDriver(be mem.Backend, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
-	return newTenantDriverPort(be, be.Port(ti), t, ti, o, horizon)
-}
-
-// newTenantDriverPort is newTenantDriver with an explicit issue port:
-// the sharded runner injects a mesh-aware port here (local traffic to
-// the home replica, remote traffic across the shard exchange) while
-// capacity, limits and wire costs still come from the backend.
-func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
+// a backend, issuing through port: the backend's own Port(ti), or the
+// mesh port a Remote tenant crosses shards through, while capacity,
+// limits and wire costs still come from the backend. The seed and
+// linear-start derivations match the GUPS rig's per-port ones, keyed
+// by tenant index, so a spec replays byte-identically across runs and
+// worker counts.
+func newTenantDriver(be mem.Backend, port mem.Port, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
 	ty, err := t.reqType()
 	if err != nil {
 		return nil, err
@@ -155,7 +134,7 @@ func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Opti
 	if err != nil {
 		return nil, err
 	}
-	iv, err := t.aggregateInterval()
+	zeroMask, err := t.zeroMask()
 	if err != nil {
 		return nil, err
 	}
@@ -167,14 +146,7 @@ func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Opti
 	if window == 0 {
 		window = be.Limits().ReadDepth
 	}
-	var zeroMask uint64
-	if t.Pattern != "" && t.Pattern != "full" {
-		p, err := workloads.ByName(t.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		zeroMask = p.ZeroMask
-	}
+	seed := gups.PortSeed(o.Seed, ti)
 	d := &tenantDriver{
 		eng:  be.Engine(),
 		port: port,
@@ -182,7 +154,7 @@ func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Opti
 			Mode: mode, Size: t.Size,
 			ZeroMask:    zeroMask,
 			CapMask:     be.CapMask(),
-			Seed:        gups.PortSeed(o.Seed, ti),
+			Seed:        seed,
 			LinearStart: gups.PortLinearStart(ti),
 			ZipfTheta:   t.Access.ZipfTheta,
 			HotFraction: t.Access.HotFraction,
@@ -190,42 +162,24 @@ func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Opti
 			StrideBytes: t.Access.StrideBytes,
 			JumpEvery:   t.Access.JumpEvery,
 		}),
-		mixRNG:    sim.NewRNG(gups.PortSeed(o.Seed, ti) ^ 0xa5a5a5a5),
-		readFrac:  t.ReadFraction,
-		write:     ty == gups.WriteOnly,
-		mixed:     ty == gups.Mixed,
-		rmw:       ty == gups.ReadModifyWrite,
-		size:      t.Size,
-		window:    window * t.Ports,
-		capacity:  be.CapacityBytes(),
-		offset:    t.Access.OffsetBytes,
-		reject:    mode == gups.Random || mode == gups.Zipfian || mode == gups.Hotspot,
-		horizon:   horizon,
+		mixRNG:   sim.NewRNG(seed ^ 0xa5a5a5a5),
+		readFrac: t.ReadFraction,
+		write:    ty == gups.WriteOnly,
+		mixed:    ty == gups.Mixed,
+		rmw:      ty == gups.ReadModifyWrite,
+		size:     t.Size,
+		window:   window * t.Ports,
+		capacity: be.CapacityBytes(),
+		offset:   t.Access.OffsetBytes,
+		reject:   mode == gups.Random || mode == gups.Zipfian || mode == gups.Hotspot,
+		horizon:  horizon,
+		// The tenant's ports pace as one aggregate stream.
+		arrivals:  newArrivals(t, t.Ports, seed, horizon),
 		startAt:   startAt,
 		nextIssue: startAt,
 		wireRead:  uint64(be.WireBytes(false, t.Size)),
 		wireWrite: uint64(be.WireBytes(true, t.Size)),
 		mon:       gups.NewMonitor(),
-	}
-	switch t.Inject.Mode {
-	case "open":
-		d.paced, d.interval = true, iv
-	case "phased":
-		d.paced = true
-		d.phases, d.cycle = lowerPhases(t)
-	case "burst":
-		d.paced = true
-		d.burstIv = ratePacing(t.Inject.BurstMRPS * float64(t.Ports))
-		if t.Inject.IdleMRPS > 0 {
-			d.idleIv = ratePacing(t.Inject.IdleMRPS * float64(t.Ports))
-		}
-		d.burstMean = float64(t.Inject.BurstDwell)
-		d.idleMean = float64(t.Inject.IdleDwell)
-		// Its own seed stream, so the burst timeline is independent of
-		// the mix draw sequence and fixed per (run seed, tenant).
-		d.paceRNG = sim.NewRNG(gups.PortSeed(o.Seed, ti) ^ 0x3c3c3c3c)
-		d.inBurst = true
-		d.stateEnd = d.startAt + expDwell(d.paceRNG, d.burstMean)
 	}
 	if d.rmw {
 		d.rmwPending = sim.NewQueue[uint64](0)
@@ -242,25 +196,6 @@ func newTenantDriverPort(be mem.Backend, port mem.Port, t Tenant, ti int, o Opti
 	d.onRead = func(r mem.Result) { d.done(r, false) }
 	d.onWr = func(r mem.Result) { d.done(r, true) }
 	return d, nil
-}
-
-// aggregateInterval is the tenant-level fixed open-loop pacing
-// interval: Ports ports at RateMRPS each, realized as one paced
-// stream (0 for closed loop and for phased/burst, which pace through
-// their own schedules). Like the per-port interval, it rounds in the
-// kernel's picosecond clock so the realized rate stays within
-// rounding error; aggregates beyond the clock are rejected (Validate
-// catches them first).
-func (t Tenant) aggregateInterval() (sim.Duration, error) {
-	iv, err := t.issueInterval()
-	if err != nil || iv == 0 {
-		return iv, err
-	}
-	iv = sim.Duration(math.Round(1000.0 / (t.Inject.RateMRPS * float64(t.Ports)) * float64(sim.Nanosecond)))
-	if iv < 1 {
-		return 0, fmt.Errorf("scenario: tenant %q aggregate rate %g MRPS x %d ports is beyond the kernel's 1 ps pacing resolution", t.Name, t.Inject.RateMRPS, t.Ports)
-	}
-	return iv, nil
 }
 
 // start arms the injector at the tenant's lifecycle start.
@@ -316,7 +251,7 @@ func (d *tenantDriver) nextOp() (addr uint64, write bool) {
 // only the horizon (or a lifecycle Stop) retires unserved arrivals.
 func (d *tenantDriver) issue() {
 	for d.inFlight < d.window && d.eng.Now() < d.horizon {
-		if d.paced {
+		if d.arrivals != nil {
 			if d.nextIssue >= d.horizon {
 				return
 			}
@@ -336,110 +271,13 @@ func (d *tenantDriver) issue() {
 			}
 			d.port.Submit(mem.Request{Addr: addr, Size: d.size, Write: write}, done)
 		}
-		if d.paced {
+		if d.arrivals != nil {
 			// The absolute schedule: advance from the previous arrival
 			// instant, never from Now() — re-basing here is the pacing
 			// drift this driver's stall tests pin.
-			d.advance()
+			d.nextIssue = d.arrivals.Next(d.nextIssue)
 		}
 	}
-}
-
-// advance moves nextIssue one arrival along the tenant's rate curve.
-func (d *tenantDriver) advance() {
-	switch {
-	case d.phases != nil:
-		d.nextIssue += sim.Time(d.phaseInterval(d.nextIssue))
-	case d.burstMean > 0:
-		d.nextIssue = d.burstNext(d.nextIssue)
-	default:
-		d.nextIssue += sim.Time(d.interval)
-	}
-}
-
-// phaseInterval evaluates the arrival spacing of the cyclic phase
-// script at schedule time t (linear interpolation across ramps).
-func (d *tenantDriver) phaseInterval(t sim.Time) sim.Duration {
-	off := sim.Duration(t-d.startAt) % d.cycle
-	for _, s := range d.phases {
-		if off < s.start+s.dur {
-			r := s.r0
-			if s.r1 != s.r0 {
-				r += (s.r1 - s.r0) * float64(off-s.start) / float64(s.dur)
-			}
-			return ratePacing(r)
-		}
-	}
-	return ratePacing(d.phases[len(d.phases)-1].r1)
-}
-
-// burstNext advances the arrival schedule through the 2-state MMPP:
-// within a state arrivals space at the state's interval; crossing a
-// state boundary re-draws the dwell and continues in the other state
-// (a silent idle state just skips to its end). Bounded by the horizon
-// so a long silent tail cannot spin the dwell walk forever.
-func (d *tenantDriver) burstNext(t sim.Time) sim.Time {
-	for {
-		if t >= d.horizon {
-			return t
-		}
-		for t >= d.stateEnd {
-			d.inBurst = !d.inBurst
-			mean := d.idleMean
-			if d.inBurst {
-				mean = d.burstMean
-			}
-			d.stateEnd += expDwell(d.paceRNG, mean)
-		}
-		iv := d.idleIv
-		if d.inBurst {
-			iv = d.burstIv
-		}
-		if iv == 0 || t+sim.Time(iv) > d.stateEnd {
-			// No arrival fits before the state flips; resume the walk
-			// at the boundary.
-			t = d.stateEnd
-			continue
-		}
-		return t + sim.Time(iv)
-	}
-}
-
-// expDwell draws an exponential state dwell with the given mean (ps),
-// clamped to the kernel clock.
-func expDwell(rng *sim.RNG, mean float64) sim.Time {
-	dw := sim.Time(math.Round(-mean * math.Log(1-rng.Float64())))
-	if dw < 1 {
-		dw = 1
-	}
-	return dw
-}
-
-// phaseSeg is one lowered piece of a tenant's cyclic rate curve, in
-// aggregate (tenant-level) MRPS.
-type phaseSeg struct {
-	start  sim.Duration // offset of the segment within the cycle
-	dur    sim.Duration
-	r0, r1 float64
-}
-
-// lowerPhases lowers the tenant's phase script to aggregate-rate
-// segments plus the cycle length.
-func lowerPhases(t Tenant) ([]phaseSeg, sim.Duration) {
-	ports := float64(t.Ports)
-	ph := t.Inject.Phases
-	segs := make([]phaseSeg, len(ph))
-	var off sim.Duration
-	for i, p := range ph {
-		r0 := p.RateMRPS * ports
-		r1 := r0
-		if p.Ramp {
-			r1 = ph[(i+1)%len(ph)].RateMRPS * ports
-		}
-		segs[i] = phaseSeg{start: off, dur: p.Duration, r0: r0, r1: r1}
-		off += p.Duration
-	}
-	return segs, off
 }
 
 func (d *tenantDriver) done(r mem.Result, write bool) {
@@ -589,14 +427,17 @@ func (op *clientOp) fireTimeout() {
 	d.issue()
 }
 
-// runDrivers executes the (defaulted) spec's tenants over a built
-// backend: warmup, monitor reset, measured window, per-tenant stats.
-// With Options.Faults the backend is first wrapped in the fault
-// injector (innermost: the device is what fails); with
+// runDrivers executes the (defaulted) spec's tenants over one built
+// backend replica per group: warmup, monitor reset, measured window,
+// per-tenant stats. Each tenant drives its home replica; a Remote
+// fraction crosses the mesh to the other groups' replicas. A
+// single-group run may also be decorated (Run rejects both decorators
+// on sharded specs): with Options.Faults the backend is first wrapped
+// in the fault injector (innermost: the device is what fails); with
 // Options.Thermal the stack is then wrapped in the throttle decorator
 // and the feedback runtime samples it throughout both windows (the
 // device heats during warmup, like real hardware).
-func runDrivers(spec Spec, o Options, be mem.Backend) (Result, error) {
+func runDrivers(spec Spec, o Options, mesh *sim.Mesh, backends []mem.Backend) (Result, error) {
 	horizon := o.Warmup + o.Measure
 	var inj *fault.Injector
 	if o.Faults.Plan != "" {
@@ -605,26 +446,58 @@ func runDrivers(spec Spec, o Options, be mem.Backend) (Result, error) {
 			return Result{}, err
 		}
 		if !plan.Zero() {
-			inj, err = buildInjector(be, plan, o.Seed)
+			inj, err = buildInjector(backends[0], plan, o.Seed)
 			if err != nil {
 				return Result{}, err
 			}
-			be = inj
+			backends[0] = inj
 		}
 	}
 	var loop *thermalLoop
 	if o.Thermal {
 		var err error
-		loop, err = buildThermalLoop(o, be)
+		loop, err = buildThermalLoop(o, backends[0])
 		if err != nil {
 			return Result{}, err
 		}
-		be = loop.throttle
+		backends[0] = loop.throttle
 		loop.runtime.Start(horizon)
 	}
 	drivers := make([]*tenantDriver, len(spec.Tenants))
 	for ti, t := range spec.Tenants {
-		d, err := newTenantDriver(be, t, ti, o, horizon)
+		be := backends[t.Home]
+		port := be.Port(ti)
+		if t.Remote > 0 {
+			if mesh.Window() == 0 {
+				// The lookahead window is the backends' latency floor:
+				// no cross-shard access can land sooner, so
+				// flush-aligned delivery at window boundaries never
+				// reorders against local traffic a shard has already
+				// committed. Without remote traffic the mesh stays
+				// windowless and each Run is one barrier-free chunk.
+				mesh.SetWindow(be.MinLatency())
+			}
+			peers := make([]mem.Port, len(backends))
+			shards := make([]*sim.MeshShard, len(backends))
+			for g := range backends {
+				peers[g] = backends[g].Port(ti)
+				shards[g] = mesh.Shard(g)
+			}
+			port = &meshPort{
+				local:  port,
+				shard:  mesh.Shard(t.Home),
+				shards: shards,
+				peers:  peers,
+				home:   t.Home,
+				groups: len(backends),
+				frac:   t.Remote,
+				// A dedicated stream, offset from the tenant's mix RNG,
+				// so adding Remote to a tenant never perturbs its
+				// read/write draws.
+				rng: sim.NewRNG(gups.PortSeed(o.Seed, ti) ^ 0x5c5c5c5c),
+			}
+		}
+		d, err := newTenantDriver(be, port, t, ti, o, horizon)
 		if err != nil {
 			return Result{}, err
 		}
@@ -634,16 +507,12 @@ func runDrivers(spec Spec, o Options, be mem.Backend) (Result, error) {
 	if inj != nil {
 		inj.Start(horizon)
 	}
-	eng := be.Engine()
-	eng.RunUntil(o.Warmup)
-	for _, d := range drivers {
-		// The warmup/measurement split: cold-start completions are
-		// discarded in place (histogram storage kept) before the
-		// measured window opens.
-		d.mon.Reset()
-		d.measuring = true
-	}
-	eng.RunUntil(horizon)
+	measure(mesh, o, func() {
+		for _, d := range drivers {
+			d.mon.Reset()
+			d.measuring = true
+		}
+	})
 
 	accums := make([]monAccum, len(drivers))
 	var total monAccum

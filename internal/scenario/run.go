@@ -6,10 +6,10 @@ import (
 	"hmcsim/internal/chain"
 	"hmcsim/internal/fpga"
 	"hmcsim/internal/gups"
+	"hmcsim/internal/hmc"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/stats"
-	"hmcsim/internal/workloads"
 )
 
 // Options bound a scenario run. The zero value selects the figure
@@ -65,11 +65,6 @@ type Options struct {
 	// spec, Shards only schedules it — so the flag is purely a
 	// wall-clock knob.
 	Shards int
-
-	// forceMesh routes Groups == 1 specs through the sharded runner
-	// (a one-shard mesh). Test/bench hook: the parity suite pins the
-	// meshed path byte-identical to the classic one on the same spec.
-	forceMesh bool
 }
 
 func (o Options) withDefaults() Options {
@@ -238,7 +233,12 @@ type Result struct {
 	SLO bool
 }
 
-// Run compiles and executes a scenario on its backend.
+// Run compiles and executes a scenario on its backend. Every spec runs
+// on a sim.Mesh of Spec.Groups shards (with one group and no lookahead
+// window the mesh is exactly Engine.RunUntil) through one of two
+// runners: runPorts keeps the cycle-accurate gups.Port issue loops for
+// plain hmc runs, and runDrivers puts the backend-generic tenant
+// drivers on everything else.
 func Run(spec Spec, o Options) (Result, error) {
 	spec, err := applyTraffic(spec, o)
 	if err != nil {
@@ -256,48 +256,34 @@ func Run(spec Spec, o Options) (Result, error) {
 		o.Measure = spec.Measure
 	}
 	// The effective fault surface: the spec's, with the CLI's set
-	// fields overlaid, carried forward in o for the run functions.
+	// fields overlaid, carried forward in o for the runners.
 	o.Faults = spec.Faults.merged(o.Faults)
 	if o.Faults.Active() {
 		if err := o.Faults.validate(); err != nil {
 			return Result{}, fmt.Errorf("scenario %q: %w", spec.Name, err)
 		}
 	}
-	if spec.Groups > 1 || o.forceMesh {
+	if spec.Groups > 1 {
 		if o.Thermal {
 			return Result{}, fmt.Errorf("scenario %q: thermal feedback runs on the single-engine path (Groups == 1)", spec.Name)
 		}
 		if o.Faults.Active() {
 			return Result{}, fmt.Errorf("scenario %q: fault injection runs on the single-engine path (Groups == 1)", spec.Name)
 		}
-		if spec.Backend == "hmc" && spec.needsGenericDrivers() {
-			// Validate rejects Groups > 1; this guards the forceMesh
-			// test hook, whose hmc arm also runs gups ports.
-			return Result{}, fmt.Errorf("scenario %q: burst arrivals, ramped phases and tenant lifecycle do not run on meshed hmc boards", spec.Name)
-		}
-		return runSharded(spec, o)
 	}
-	if o.Thermal {
-		if err := validateThermal(spec, o); err != nil {
-			return Result{}, err
-		}
+	mesh := sim.NewMesh(spec.Groups)
+	if spec.Backend == "hmc" && !o.Thermal && !o.Faults.Active() && !spec.needsGenericDrivers() {
+		return runPorts(spec, o, mesh)
 	}
-	switch spec.Backend {
-	case "hmc":
-		if o.Thermal || o.Faults.Active() || spec.needsGenericDrivers() {
-			// Thermal throttling, fault injection and the generic-only
-			// traffic features (burst, ramps, lifecycle) all interpose
-			// on mem.Port, which the cycle-accurate gups.Port loops
-			// bypass; those runs take the generic driver path.
-			// Fixed-rate phase schedules stay on the gups path.
-			return runHMCDrivers(spec, o)
-		}
-		return runSingle(spec, o)
-	case "ddr4":
-		return runDDR(spec, o)
-	default:
-		return runChain(spec, o)
+	// Thermal throttling and fault injection decorate the backend,
+	// which gups.Port rigs wire straight to their board, and the
+	// generic-only traffic features (burst, ramps, lifecycle) run on
+	// the tenant drivers; hmc runs with any of them take this runner.
+	backends, err := buildBackends(spec, o, mesh)
+	if err != nil {
+		return Result{}, err
 	}
+	return runDrivers(spec, o, mesh, backends)
 }
 
 // MustRun is Run that panics on spec errors (tests, examples).
@@ -309,13 +295,53 @@ func MustRun(spec Spec, o Options) Result {
 	return r
 }
 
-// portConfigs lowers the tenants onto per-port GUPS configs, using
-// the same seed and linear-start derivations as the full-scale GUPS
-// rig so a single-tenant uniform scenario reproduces its numbers
-// byte-identically.
-func portConfigs(spec Spec, seed uint64) ([]gups.PortConfig, []int, error) {
-	var pcs []gups.PortConfig
-	var owner []int // port index -> tenant index
+// runPorts executes an hmc spec on the cycle-accurate gups.Port issue
+// loops (tag pool, write FIFO, bank stop signal), driven through each
+// board's mem.Backend shim: every tenant's ports share its home
+// board's cube, contending for links, vaults and banks exactly as nine
+// GUPS ports do.
+func runPorts(spec Spec, o Options, mesh *sim.Mesh) (Result, error) {
+	rigs, owners, err := buildRigs(spec, o, mesh)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, rig := range rigs {
+		for _, p := range rig.Ports {
+			p.Start()
+		}
+	}
+	measure(mesh, o, func() {
+		for _, rig := range rigs {
+			for _, p := range rig.Ports {
+				p.ResetMonitor()
+				p.SetMeasuring(true)
+			}
+		}
+	})
+
+	accums := make([]monAccum, len(spec.Tenants))
+	var total monAccum
+	for g, rig := range rigs {
+		for pi, p := range rig.Ports {
+			m := p.Monitor()
+			accums[owners[g][pi]].add(m)
+			total.add(m)
+		}
+	}
+	return assemble(spec, o, accums, total), nil
+}
+
+// buildRigs lowers the tenants onto per-port GUPS configs and builds
+// one AC-510 board per group (the EX-700 carrier shape when Groups >
+// 1), each holding its tenants' ports in spec order. The seed and
+// linear-start derivations match the full-scale GUPS rig's, keyed by
+// the global port index, so a single-tenant uniform scenario
+// reproduces gups.Run byte-identically and tenant streams do not
+// depend on the partition. owners[g][i] is the tenant behind board g's
+// port i.
+func buildRigs(spec Spec, o Options, mesh *sim.Mesh) ([]*gups.Rig, [][]int, error) {
+	pcs := make([][]gups.PortConfig, spec.Groups)
+	owners := make([][]int, spec.Groups)
 	gi := 0
 	for ti, t := range spec.Tenants {
 		ty, err := t.reqType()
@@ -326,96 +352,101 @@ func portConfigs(spec Spec, seed uint64) ([]gups.PortConfig, []int, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		iv, err := t.issueInterval()
+		zeroMask, err := t.zeroMask()
 		if err != nil {
 			return nil, nil, err
-		}
-		if t.Start != 0 || t.Stop != 0 || t.Inject.Mode == "burst" {
-			// Run routes these to the generic drivers (and Validate
-			// rejects them on sharded hmc); reaching here is a dispatch
-			// bug, not a user error.
-			return nil, nil, fmt.Errorf("scenario: tenant %q: burst arrivals and tenant lifecycle do not lower onto gups ports (internal dispatch error)", t.Name)
-		}
-		sched, err := t.portSchedule()
-		if err != nil {
-			return nil, nil, err
-		}
-		var zeroMask uint64
-		if t.Pattern != "" && t.Pattern != "full" {
-			p, err := workloads.ByName(t.Pattern)
-			if err != nil {
-				return nil, nil, err
-			}
-			zeroMask = p.ZeroMask
 		}
 		for k := 0; k < t.Ports; k++ {
-			pcs = append(pcs, gups.PortConfig{
-				Type:          ty,
-				Size:          t.Size,
-				Mode:          mode,
-				ReadFraction:  t.ReadFraction,
-				ZeroMask:      zeroMask,
-				Seed:          gups.PortSeed(seed, gi),
-				LinearStart:   gups.PortLinearStart(gi),
-				ZipfTheta:     t.Access.ZipfTheta,
-				HotFraction:   t.Access.HotFraction,
-				HotRate:       t.Access.HotRate,
-				StrideBytes:   t.Access.StrideBytes,
-				JumpEvery:     t.Access.JumpEvery,
-				IssueInterval: iv,
-				Schedule:      sched,
-				Outstanding:   t.Inject.Outstanding,
-			})
-			owner = append(owner, ti)
+			pc := gups.PortConfig{
+				Type:         ty,
+				Size:         t.Size,
+				Mode:         mode,
+				ReadFraction: t.ReadFraction,
+				ZeroMask:     zeroMask,
+				Seed:         gups.PortSeed(o.Seed, gi),
+				LinearStart:  gups.PortLinearStart(gi),
+				ZipfTheta:    t.Access.ZipfTheta,
+				HotFraction:  t.Access.HotFraction,
+				HotRate:      t.Access.HotRate,
+				StrideBytes:  t.Access.StrideBytes,
+				JumpEvery:    t.Access.JumpEvery,
+				Outstanding:  t.Inject.Outstanding,
+			}
+			if a := newArrivals(t, 1, pc.Seed, o.Warmup+o.Measure); a != nil {
+				// Each port paces its own share of the tenant's rate.
+				pc.Arrivals = a
+			}
+			pcs[t.Home] = append(pcs[t.Home], pc)
+			owners[t.Home] = append(owners[t.Home], ti)
 			gi++
 		}
 	}
-	return pcs, owner, nil
+	rigs := make([]*gups.Rig, spec.Groups)
+	for g := range rigs {
+		// gups.Config's default cube (HMC10), on which every paper
+		// figure was recorded; the driver runner builds HMC11 (README
+		// "Performance and known quirks").
+		rig, err := hmcBoard(mesh.Shard(g).Engine(), spec, o, hmc.DefaultGeneration, len(pcs[g]), pcs[g])
+		if err != nil {
+			return nil, nil, err
+		}
+		rigs[g] = rig
+	}
+	return rigs, owners, nil
 }
 
-// runSingle executes a scenario on one cube behind the AC-510
-// controller: every tenant's ports share the device, contending for
-// links, vaults and banks exactly as nine GUPS ports do. The hmc
-// backend keeps the cycle-accurate gups.Port issue loops (tag pool,
-// write FIFO, bank stop signal), driven through the mem.Backend shim
-// the rig now carries.
-func runSingle(spec Spec, o Options) (Result, error) {
-	pcs, owner, err := portConfigs(spec, o.Seed)
+// hmcBoard builds one AC-510 board on eng: a gen cube behind a
+// controller with at least ports hardware ports, pcs' issue loops on
+// it, and refresh running when the spec asks for it.
+func hmcBoard(eng *sim.Engine, spec Spec, o Options, gen hmc.Generation, ports int, pcs []gups.PortConfig) (*gups.Rig, error) {
+	fp := fpga.DefaultParams()
+	fp.Ports = max(fp.Ports, ports)
+	rig, err := gups.BuildRigPortsOn(eng, gups.Config{Generation: gen, FPGAParams: &fp}, pcs)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	base := gups.Config{Seed: o.Seed, Warmup: o.Warmup, Measure: o.Measure}
-	if n := len(pcs); n > fpga.DefaultParams().Ports {
-		fp := fpga.DefaultParams()
-		fp.Ports = n
-		base.FPGAParams = &fp
-	}
-	rig, err := gups.BuildRigPorts(base, pcs)
-	if err != nil {
-		return Result{}, err
-	}
-	horizon := o.Warmup + o.Measure
 	if spec.Refresh {
-		rig.Dev.StartRefresh(horizon, false)
+		rig.Dev.StartRefresh(o.Warmup+o.Measure, false)
 	}
-	for _, p := range rig.Ports {
-		p.Start()
-	}
-	rig.Eng.RunUntil(o.Warmup)
-	for _, p := range rig.Ports {
-		p.ResetMonitor()
-		p.SetMeasuring(true)
-	}
-	rig.Eng.RunUntil(horizon)
+	return rig, nil
+}
 
-	accums := make([]monAccum, len(spec.Tenants))
-	var total monAccum
-	for pi, p := range rig.Ports {
-		m := p.Monitor()
-		accums[owner[pi]].add(m)
-		total.add(m)
+// buildBackends builds one backend replica per group on the mesh's
+// shard engines, each an equal share of the spec's cubes or channels:
+// an AC-510 board with a controller port per tenant index (an HMC11
+// cube, unlike the gups.Port runner's HMC10 — README "Performance and
+// known quirks"), a set of interleaved DDR4-2400 channels, or a chain
+// or ring of cubes.
+func buildBackends(spec Spec, o Options, mesh *sim.Mesh) ([]mem.Backend, error) {
+	backends := make([]mem.Backend, spec.Groups)
+	for g := range backends {
+		eng := mesh.Shard(g).Engine()
+		switch spec.Backend {
+		case "hmc":
+			rig, err := hmcBoard(eng, spec, o, hmc.HMC11, len(spec.Tenants), nil)
+			if err != nil {
+				return nil, err
+			}
+			backends[g] = rig.Backend
+		case "ddr4":
+			be, err := mem.NewDDR(eng, mem.DDRConfig{Channels: spec.Channels / spec.Groups})
+			if err != nil {
+				return nil, err
+			}
+			backends[g] = be
+		default: // chain
+			topo := chain.Chain
+			if spec.Topology == "ring" {
+				topo = chain.Ring
+			}
+			nw, err := chain.NewNetwork(eng, spec.Cubes/spec.Groups, topo, chain.DefaultParams())
+			if err != nil {
+				return nil, err
+			}
+			backends[g] = mem.NewChain(eng, nw)
+		}
 	}
-	return assemble(spec, o, accums, total), nil
+	return backends, nil
 }
 
 // liveSeconds is the tenant's live overlap with the measured window,
@@ -477,32 +508,6 @@ func annotate(ts *TenantStats, t Tenant) {
 	if ts.WriteHistNs != nil {
 		ts.SLOMet += ts.WriteHistNs.CountAtMost(thr)
 	}
-}
-
-// runChain executes a scenario over a chain or ring of cubes behind
-// the chain backend adapter.
-func runChain(spec Spec, o Options) (Result, error) {
-	topo := chain.Chain
-	if spec.Topology == "ring" {
-		topo = chain.Ring
-	}
-	eng := sim.NewEngine()
-	nw, err := chain.NewNetwork(eng, spec.Cubes, topo, chain.DefaultParams())
-	if err != nil {
-		return Result{}, err
-	}
-	return runDrivers(spec, o, mem.NewChain(eng, nw))
-}
-
-// runDDR executes a scenario on the DDR4 backend: one or more
-// interleaved DDR4-2400 channels under the same tenant drivers.
-func runDDR(spec Spec, o Options) (Result, error) {
-	eng := sim.NewEngine()
-	be, err := mem.NewDDR(eng, mem.DDRConfig{Channels: spec.Channels})
-	if err != nil {
-		return Result{}, err
-	}
-	return runDrivers(spec, o, be)
 }
 
 // String renders a one-line summary of the run.

@@ -14,7 +14,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"hmcsim/internal/gups"
 	"hmcsim/internal/hmc"
@@ -141,8 +140,8 @@ type Tenant struct {
 	// and retires at Stop (0 = the whole run). Reported rates are
 	// normalized to the tenant's live overlap with the measured
 	// window, so a tenant live for half the window shows its true
-	// rate, not half of it. Generic-driver paths only (ddr4, chain,
-	// and single-engine hmc, which re-routes like thermal/faults do).
+	// rate, not half of it. Runs on the tenant drivers: hmc specs with
+	// a lifecycle take them like thermal and fault runs do.
 	Start, Stop sim.Duration
 	// QoS attaches a latency SLO target and service class.
 	QoS QoS
@@ -261,29 +260,14 @@ func (t Tenant) reqType() (gups.ReqType, error) {
 	return 0, fmt.Errorf("scenario: unknown mix %q (want ro, wo, rw or mix)", t.Mix)
 }
 
-// issueInterval converts a fixed open-loop rate to the port pacing
-// interval (0 for closed loop and for the phased/burst modes, which
-// pace through their own schedules).
-func (t Tenant) issueInterval() (sim.Duration, error) {
-	switch t.Inject.Mode {
-	case "closed", "phased", "burst":
+// zeroMask resolves the tenant's footprint pattern to its address
+// zero mask (0 = the whole device).
+func (t Tenant) zeroMask() (uint64, error) {
+	if t.Pattern == "" || t.Pattern == "full" {
 		return 0, nil
-	case "open":
-		if t.Inject.RateMRPS <= 0 {
-			return 0, fmt.Errorf("scenario: open-loop tenant %q needs RateMRPS > 0", t.Name)
-		}
-		// The kernel clock is picoseconds; rounding there keeps the
-		// realized rate within rounding error of RateMRPS instead of
-		// truncating to whole nanoseconds. Rates whose interval would
-		// round below 1 ps are rejected (Validate catches them first)
-		// rather than silently simulating a slower stream.
-		iv := sim.Duration(math.Round(1000.0 / t.Inject.RateMRPS * float64(sim.Nanosecond)))
-		if iv < 1 {
-			return 0, fmt.Errorf("scenario: tenant %q rate %g MRPS is beyond the kernel's 1 ps pacing resolution", t.Name, t.Inject.RateMRPS)
-		}
-		return iv, nil
 	}
-	return 0, fmt.Errorf("scenario: unknown injection mode %q (want closed, open, phased or burst)", t.Inject.Mode)
+	p, err := workloads.ByName(t.Pattern)
+	return p.ZeroMask, err
 }
 
 // Validate checks a spec without building anything.
@@ -417,13 +401,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Backend != "hmc" && s.Refresh {
 		return fmt.Errorf("scenario %q: refresh is modeled on the hmc backend only", s.Name)
-	}
-	if s.Backend == "hmc" && s.Groups > 1 && s.needsGenericDrivers() {
-		// Sharded hmc boards keep the cycle-accurate gups.Port loops
-		// (fixed-rate phase schedules lower onto them natively); the
-		// generic-driver traffic features are rejected there, exactly
-		// as sharding rejects faults and thermal.
-		return fmt.Errorf("scenario %q: burst arrivals, ramped phases and tenant lifecycle need the generic drivers; run hmc with Groups == 1 or use the chain/ddr4 backends", s.Name)
 	}
 	return nil
 }

@@ -1,22 +1,20 @@
 package scenario
 
 import (
-	"hmcsim/internal/chain"
-	"hmcsim/internal/fpga"
-	"hmcsim/internal/gups"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/runner"
 	"hmcsim/internal/sim"
 )
 
-// This file is the sharded runner: the compilation target for specs
-// with Groups > 1 (and, via Options.forceMesh, the parity harness for
-// Groups == 1). The spec's groups become independent backend replicas,
-// one per shard of a sim.Mesh; tenants run on their home shard's
-// engine, and a tenant's Remote fraction crosses shards through the
-// mesh's windowed batch exchange. The partition lives in the Spec, so
-// the result bytes depend only on the spec and seed — Options.Shards
-// picks how many goroutines execute the mesh, never what it computes.
+// This file is the mesh plumbing both runners share. Every spec runs
+// on a sim.Mesh of Spec.Groups shards: each group's backend replica or
+// gups board lives on its own shard engine, tenants run on their home
+// shard's engine, and a tenant's Remote fraction crosses shards
+// through the mesh's windowed batch exchange. One group without a
+// lookahead window runs each phase as a single Engine.RunUntil. The
+// partition lives in the Spec, so the result bytes depend only on the
+// spec and seed — Options.Shards picks how many goroutines execute the
+// mesh, never what it computes.
 
 // shardWorkers resolves the requested shard worker count against the
 // mesh width and the process-wide core budget. The returned release
@@ -36,177 +34,16 @@ func shardWorkers(req, groups int) (int, func()) {
 	return 1 + extra, func() { runner.Cores.Release(extra) }
 }
 
-// runSharded executes a partitioned spec across a PDES mesh.
-func runSharded(spec Spec, o Options) (Result, error) {
-	if spec.Backend == "hmc" {
-		return runShardedHMC(spec, o)
-	}
-	groups := spec.Groups
-	mesh := sim.NewMesh(groups)
-
-	backends := make([]mem.Backend, groups)
-	switch spec.Backend {
-	case "ddr4":
-		per := spec.Channels / groups
-		for g := 0; g < groups; g++ {
-			be, err := mem.NewDDR(mesh.Shard(g).Engine(), mem.DDRConfig{Channels: per})
-			if err != nil {
-				return Result{}, err
-			}
-			backends[g] = be
-		}
-	default: // chain
-		topo := chain.Chain
-		if spec.Topology == "ring" {
-			topo = chain.Ring
-		}
-		per := spec.Cubes / groups
-		for g := 0; g < groups; g++ {
-			eng := mesh.Shard(g).Engine()
-			nw, err := chain.NewNetwork(eng, per, topo, chain.DefaultParams())
-			if err != nil {
-				return Result{}, err
-			}
-			backends[g] = mem.NewChain(eng, nw)
-		}
-	}
-
-	anyRemote := false
-	for _, t := range spec.Tenants {
-		if t.Remote > 0 {
-			anyRemote = true
-			break
-		}
-	}
-	if anyRemote {
-		// The lookahead window is the backends' latency floor: no
-		// cross-shard access can land sooner, so flush-aligned delivery
-		// at window boundaries never reorders against local traffic a
-		// shard has already committed. Without remote traffic the mesh
-		// stays windowless and each Run is one barrier-free chunk.
-		mesh.SetWindow(backends[0].MinLatency())
-	}
-
-	horizon := o.Warmup + o.Measure
-	drivers := make([]*tenantDriver, len(spec.Tenants))
-	for ti, t := range spec.Tenants {
-		be := backends[t.Home]
-		port := be.Port(ti)
-		if t.Remote > 0 {
-			peers := make([]mem.Port, groups)
-			shards := make([]*sim.MeshShard, groups)
-			for g := 0; g < groups; g++ {
-				peers[g] = backends[g].Port(ti)
-				shards[g] = mesh.Shard(g)
-			}
-			port = &meshPort{
-				local:  port,
-				shard:  mesh.Shard(t.Home),
-				shards: shards,
-				peers:  peers,
-				home:   t.Home,
-				groups: groups,
-				frac:   t.Remote,
-				// A dedicated stream, offset from the tenant's mix RNG,
-				// so adding Remote to a tenant never perturbs its
-				// read/write draws.
-				rng: sim.NewRNG(gups.PortSeed(o.Seed, ti) ^ 0x5c5c5c5c),
-			}
-		}
-		d, err := newTenantDriverPort(be, port, t, ti, o, horizon)
-		if err != nil {
-			return Result{}, err
-		}
-		drivers[ti] = d
-		d.start()
-	}
-
-	workers, release := shardWorkers(o.Shards, groups)
+// measure is the one warmup/measurement protocol: the mesh advances
+// through the warmup, open discards every source's cold-start
+// measurements in place (histogram storage kept) and arms measurement,
+// then the mesh runs to the horizon.
+func measure(mesh *sim.Mesh, o Options, open func()) {
+	workers, release := shardWorkers(o.Shards, mesh.Shards())
 	defer release()
 	mesh.Run(o.Warmup, workers)
-	for _, d := range drivers {
-		d.mon.Reset()
-		d.measuring = true
-	}
-	mesh.Run(horizon, workers)
-
-	accums := make([]monAccum, len(drivers))
-	var total monAccum
-	for ti, d := range drivers {
-		accums[ti].add(d.mon)
-		accums[ti].addResilience(d.errs, d.retries, d.abandoned, d.failed)
-		total.add(d.mon)
-		total.addResilience(d.errs, d.retries, d.abandoned, d.failed)
-	}
-	return assemble(spec, o, accums, total), nil
-}
-
-// runShardedHMC executes an hmc spec as Groups independent AC-510
-// boards (the EX-700 carrier shape): each group's tenants keep the
-// cycle-accurate gups.Port issue loops on a full rig living on that
-// group's shard engine. Port seeds stay keyed by the global port
-// index, so tenant streams match the single-board compilation of the
-// same tenant list.
-func runShardedHMC(spec Spec, o Options) (Result, error) {
-	groups := spec.Groups
-	pcs, owner, err := portConfigs(spec, o.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	groupPcs := make([][]gups.PortConfig, groups)
-	groupOwner := make([][]int, groups) // per-group port -> global tenant
-	for pi, pc := range pcs {
-		g := spec.Tenants[owner[pi]].Home
-		groupPcs[g] = append(groupPcs[g], pc)
-		groupOwner[g] = append(groupOwner[g], owner[pi])
-	}
-
-	mesh := sim.NewMesh(groups)
-	horizon := o.Warmup + o.Measure
-	rigs := make([]*gups.Rig, groups)
-	for g := 0; g < groups; g++ {
-		base := gups.Config{Seed: o.Seed, Warmup: o.Warmup, Measure: o.Measure}
-		if n := len(groupPcs[g]); n > fpga.DefaultParams().Ports {
-			fp := fpga.DefaultParams()
-			fp.Ports = n
-			base.FPGAParams = &fp
-		}
-		rig, err := gups.BuildRigPortsOn(mesh.Shard(g).Engine(), base, groupPcs[g])
-		if err != nil {
-			return Result{}, err
-		}
-		if spec.Refresh {
-			rig.Dev.StartRefresh(horizon, false)
-		}
-		rigs[g] = rig
-	}
-
-	for _, rig := range rigs {
-		for _, p := range rig.Ports {
-			p.Start()
-		}
-	}
-	workers, release := shardWorkers(o.Shards, groups)
-	defer release()
-	mesh.Run(o.Warmup, workers)
-	for _, rig := range rigs {
-		for _, p := range rig.Ports {
-			p.ResetMonitor()
-			p.SetMeasuring(true)
-		}
-	}
-	mesh.Run(horizon, workers)
-
-	accums := make([]monAccum, len(spec.Tenants))
-	var total monAccum
-	for g, rig := range rigs {
-		for pi, p := range rig.Ports {
-			m := p.Monitor()
-			accums[groupOwner[g][pi]].add(m)
-			total.add(m)
-		}
-	}
-	return assemble(spec, o, accums, total), nil
+	open()
+	mesh.Run(o.Warmup+o.Measure, workers)
 }
 
 // meshPort splits one tenant's traffic between its home replica and

@@ -37,47 +37,30 @@ func withWideBudget(t *testing.T, fn func()) {
 
 // TestShardDeterminism: a sharded spec produces byte-identical reports
 // at every worker count — the partition is structural (Spec.Groups),
-// Options.Shards only schedules it. Covers all three backends and
-// both traffic shapes (independent groups, cross-group remote).
+// Options.Shards only schedules it. Covers all three backends, both
+// traffic shapes (independent groups, cross-group remote) and both hmc
+// runners: burst traffic moves the hmc boards onto the tenant drivers.
 func TestShardDeterminism(t *testing.T) {
-	for _, name := range []string{"chain-16-remote", "ddr4-quad", "hmc-boards"} {
-		t.Run(name, func(t *testing.T) {
-			spec, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, c := range []struct{ label, spec, traffic string }{
+		{"chain-16-remote", "chain-16-remote", ""},
+		{"ddr4-quad", "ddr4-quad", ""},
+		{"hmc-boards", "hmc-boards", ""},
+		{"hmc-boards-burst", "hmc-boards", "burst:8/0.5@10us/25us"},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			spec := mustByName(t, c.spec)
 			o := quickShard()
+			o.Traffic = c.traffic
 			o.Shards = 1
 			base := render(MustRun(spec, o))
 			withWideBudget(t, func() {
 				for _, shards := range []int{2, 8} {
 					o.Shards = shards
 					if got := render(MustRun(spec, o)); got != base {
-						t.Errorf("%s: Shards=%d diverged from Shards=1:\n%s", name, shards, got)
+						t.Errorf("%s: Shards=%d diverged from Shards=1:\n%s", c.label, shards, got)
 					}
 				}
 			})
-		})
-	}
-}
-
-// TestMeshParity: routing a Groups == 1 spec through the sharded
-// runner (a one-shard mesh) reproduces the classic single-engine
-// compilation byte-for-byte on every backend. The mesh is a scheduling
-// layer, not a model change.
-func TestMeshParity(t *testing.T) {
-	for _, name := range []string{"uniform", "chain-4", "tenants-4-ddr4"} {
-		t.Run(name, func(t *testing.T) {
-			spec, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := quickShard()
-			direct := render(MustRun(spec, o))
-			o.forceMesh = true
-			if meshed := render(MustRun(spec, o)); meshed != direct {
-				t.Errorf("%s: meshed run diverged from direct run:\n%s\n### direct:\n%s", name, meshed, direct)
-			}
 		})
 	}
 }
@@ -95,28 +78,5 @@ func TestShardRemoteTraffic(t *testing.T) {
 	}
 	if remote.Total.Reads == 0 || local.Total.Reads == 0 {
 		t.Fatal("no traffic measured")
-	}
-}
-
-// BenchmarkMeshParity pins the cost of the mesh layer itself: the same
-// Groups == 1 spec through the classic runner vs a one-shard mesh. The
-// delta is pure kernel overhead (check_bench.sh gates it).
-func BenchmarkMeshParity(b *testing.B) {
-	spec, err := ByName("chain-4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		mesh bool
-	}{{"direct", false}, {"mesh1", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			o := quickShard()
-			o.forceMesh = mode.mesh
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MustRun(spec, o)
-			}
-		})
 	}
 }

@@ -2,10 +2,7 @@ package scenario
 
 import (
 	"hmcsim/internal/cooling"
-	"hmcsim/internal/fpga"
-	"hmcsim/internal/hmc"
 	"hmcsim/internal/mem"
-	"hmcsim/internal/sim"
 	"hmcsim/internal/thermal"
 )
 
@@ -29,13 +26,6 @@ func coolingName(o Options) string {
 		return "Cfg2"
 	}
 	return o.Cooling
-}
-
-// validateThermal pre-flights the thermal-specific option surface
-// before any backend is built.
-func validateThermal(spec Spec, o Options) error {
-	_, err := cooling.ByName(coolingName(o))
-	return err
 }
 
 // buildThermalLoop wraps a built backend with the throttle decorator
@@ -134,34 +124,4 @@ func (s *ThermalStats) Throttled() bool {
 		}
 	}
 	return false
-}
-
-// runHMCDrivers executes a decorated scenario on the single cube:
-// the rig's mem.Backend shim behind the throttle and/or fault
-// decorators, driven by the backend-generic tenant drivers (the
-// cycle-accurate gups.Port loops bypass mem.Port, which the
-// decorators interpose on, so the classic runSingle path stays
-// reserved for undecorated open-loop runs).
-func runHMCDrivers(spec Spec, o Options) (Result, error) {
-	eng := sim.NewEngine()
-	amap, err := hmc.NewAddressMap(hmc.Geometries(hmc.HMC11), hmc.DefaultMaxBlock)
-	if err != nil {
-		return Result{}, err
-	}
-	dev, err := hmc.NewDevice(eng, hmc.DefaultParams(), amap)
-	if err != nil {
-		return Result{}, err
-	}
-	fp := fpga.DefaultParams()
-	if n := len(spec.Tenants); n > fp.Ports {
-		fp.Ports = n
-	}
-	ctrl, err := fpga.NewController(eng, dev, fp)
-	if err != nil {
-		return Result{}, err
-	}
-	if spec.Refresh {
-		dev.StartRefresh(o.Warmup+o.Measure, false)
-	}
-	return runDrivers(spec, o, mem.NewHMC(eng, dev, ctrl))
 }

@@ -6,23 +6,23 @@ import (
 	"strconv"
 	"strings"
 
-	"hmcsim/internal/gups"
 	"hmcsim/internal/sim"
 )
 
 // This file is the production traffic model layer: phase-scripted
 // rate curves (with linear ramps and a compact diurnal preset),
 // Markov-modulated bursty arrivals, and the compact grammar the CLIs
-// accept for overlaying any of them onto a spec. The arrival
-// discipline they all compile onto is the drivers' absolute arrival
-// schedule (see driver.go): backpressure delays requests but never
-// depresses offered load.
+// accept for overlaying any of them onto a spec. They all compile onto
+// one arrivals clock, which both the tenant drivers and the gups.Port
+// loops advance: an absolute arrival schedule, so backpressure delays
+// requests but never depresses offered load.
 
-// ratePacing converts an aggregate arrival rate in MRPS to the
-// kernel's picosecond pacing interval, rounding like the fixed-rate
-// path so all modes realize rates the same way. Validate rejects
-// rates whose interval would round below 1 ps, so the clamp here only
-// guards mid-ramp float noise.
+// ratePacing converts an arrival rate in MRPS to the kernel's
+// picosecond pacing interval, the one rounding every mode shares:
+// rounding in picoseconds keeps the realized rate within rounding
+// error of the request instead of truncating to whole nanoseconds.
+// Validate rejects rates whose interval would round below 1 ps, so
+// the clamp here only guards mid-ramp float noise.
 func ratePacing(aggMRPS float64) sim.Duration {
 	iv := sim.Duration(math.Round(1000.0 / aggMRPS * float64(sim.Nanosecond)))
 	if iv < 1 {
@@ -165,13 +165,11 @@ func (t Tenant) checkRate(what string, mrps float64) error {
 }
 
 // needsGenericDrivers reports whether any tenant uses a traffic
-// feature the cycle-accurate gups.Port path cannot express: ramped
-// phase curves, bursty arrivals, or lifecycle start/stop.
-// Single-engine hmc specs with such tenants compile onto the generic
-// tenant drivers (the thermal/fault precedent); fixed-rate phase
-// schedules lower natively onto gups.PortConfig.Schedule. Validate
-// rejects these features on sharded hmc boards (Groups > 1), which
-// keep the gups.Port loops.
+// feature that moves an hmc spec onto the tenant drivers, like thermal
+// and fault runs, at any group count: ramped phase curves, bursty
+// arrivals, or lifecycle start/stop. gups.Port has no lifecycle gate,
+// and the recorded ramp and burst runs were made on the drivers;
+// fixed-rate phase scripts stay on the gups.Port loops.
 func (s Spec) needsGenericDrivers() bool {
 	for _, t := range s.Tenants {
 		if t.Start != 0 || t.Stop != 0 || t.Inject.Mode == "burst" {
@@ -186,23 +184,151 @@ func (s Spec) needsGenericDrivers() bool {
 	return false
 }
 
-// portSchedule lowers a fixed-rate phase script onto the gups.Port
-// step schedule (per-port pacing, like IssueInterval). Ramped phases
-// never reach this path — Run routes them to the generic drivers and
-// Validate rejects them on sharded hmc — so a ramp here is an
-// internal dispatch error.
-func (t Tenant) portSchedule() ([]gups.RateStep, error) {
-	if t.Inject.Mode != "phased" {
-		return nil, nil
-	}
-	steps := make([]gups.RateStep, len(t.Inject.Phases))
-	for i, p := range t.Inject.Phases {
-		if p.Ramp {
-			return nil, fmt.Errorf("scenario: tenant %q: ramped phases reached the gups.Port path (internal dispatch error)", t.Name)
+// arrivals is the open-loop arrival clock every paced source advances:
+// a tenant driver at the tenant's aggregate rate, a gups port at one
+// port's share (as its gups.Arrivals). The schedule is absolute: Next
+// steps from the previous arrival instant along the rate curve — a
+// fixed interval, the cyclic phase script anchored at the tenant's
+// start, or the 2-state MMPP burst process — and never from the
+// current time, so a stalled source delays arrivals but cannot drop
+// them. Burst state advances with every call, so each source owns its
+// clock and calls Next once per arrival, in order.
+type arrivals struct {
+	interval sim.Duration // fixed spacing (mode "open")
+	phases   []phaseSeg   // cyclic rate curve (mode "phased")
+	cycle    sim.Duration
+	start    sim.Time // the phase cycle's anchor
+	// Burst (MMPP) state: per-state pacing intervals (idleIv 0 =
+	// silent idle), mean dwells in ps, and the seeded state timeline,
+	// walked no further than end.
+	burstIv, idleIv     sim.Duration
+	burstMean, idleMean float64
+	rng                 *sim.RNG
+	inBurst             bool
+	stateEnd, end       sim.Time
+}
+
+// newArrivals builds tenant t's arrival clock at ports times its
+// per-port rates, anchored at the tenant's lifecycle start and bounded
+// by end; nil for closed loop. seed keys the burst timeline on its own
+// stream, independent of the mix draws and fixed per (run seed,
+// source).
+func newArrivals(t Tenant, ports int, seed uint64, end sim.Time) *arrivals {
+	scale := float64(ports)
+	in := t.Inject
+	a := &arrivals{start: sim.Time(t.Start), end: end}
+	switch in.Mode {
+	case "open":
+		a.interval = ratePacing(in.RateMRPS * scale)
+	case "phased":
+		a.phases, a.cycle = lowerPhases(in.Phases, scale)
+	case "burst":
+		a.burstIv = ratePacing(in.BurstMRPS * scale)
+		if in.IdleMRPS > 0 {
+			a.idleIv = ratePacing(in.IdleMRPS * scale)
 		}
-		steps[i] = gups.RateStep{Interval: ratePacing(p.RateMRPS), Duration: p.Duration}
+		a.burstMean, a.idleMean = float64(in.BurstDwell), float64(in.IdleDwell)
+		a.rng = sim.NewRNG(seed ^ 0x3c3c3c3c)
+		a.inBurst = true
+		a.stateEnd = a.start + expDwell(a.rng, a.burstMean)
+	default:
+		return nil
 	}
-	return steps, nil
+	return a
+}
+
+// Next returns the arrival instant that follows the one at t.
+func (a *arrivals) Next(t sim.Time) sim.Time {
+	switch {
+	case a.phases != nil:
+		return t + a.phaseInterval(t)
+	case a.burstMean > 0:
+		return a.burstNext(t)
+	}
+	return t + a.interval
+}
+
+// phaseInterval evaluates the arrival spacing of the cyclic phase
+// script at schedule time t (linear interpolation across ramps).
+func (a *arrivals) phaseInterval(t sim.Time) sim.Duration {
+	off := sim.Duration(t-a.start) % a.cycle
+	for _, s := range a.phases {
+		if off < s.start+s.dur {
+			r := s.r0
+			if s.r1 != s.r0 {
+				r += (s.r1 - s.r0) * float64(off-s.start) / float64(s.dur)
+			}
+			return ratePacing(r)
+		}
+	}
+	return ratePacing(a.phases[len(a.phases)-1].r1)
+}
+
+// burstNext advances the arrival schedule through the 2-state MMPP:
+// within a state arrivals space at the state's interval; crossing a
+// state boundary re-draws the dwell and continues in the other state
+// (a silent idle state just skips to its end). Bounded by end so a
+// long silent tail cannot spin the dwell walk forever.
+func (a *arrivals) burstNext(t sim.Time) sim.Time {
+	for {
+		if t >= a.end {
+			return t
+		}
+		for t >= a.stateEnd {
+			a.inBurst = !a.inBurst
+			mean := a.idleMean
+			if a.inBurst {
+				mean = a.burstMean
+			}
+			a.stateEnd += expDwell(a.rng, mean)
+		}
+		iv := a.idleIv
+		if a.inBurst {
+			iv = a.burstIv
+		}
+		if iv == 0 || t+sim.Time(iv) > a.stateEnd {
+			// No arrival fits before the state flips; resume the walk
+			// at the boundary.
+			t = a.stateEnd
+			continue
+		}
+		return t + sim.Time(iv)
+	}
+}
+
+// expDwell draws an exponential state dwell with the given mean (ps),
+// clamped to the kernel clock.
+func expDwell(rng *sim.RNG, mean float64) sim.Time {
+	dw := sim.Time(math.Round(-mean * math.Log(1-rng.Float64())))
+	if dw < 1 {
+		dw = 1
+	}
+	return dw
+}
+
+// phaseSeg is one lowered piece of a cyclic rate curve, in the
+// clock's (scaled) MRPS.
+type phaseSeg struct {
+	start  sim.Duration // offset of the segment within the cycle
+	dur    sim.Duration
+	r0, r1 float64
+}
+
+// lowerPhases lowers a phase script, every rate scaled by scale, to
+// rate segments plus the cycle length.
+func lowerPhases(ph []RatePhase, scale float64) ([]phaseSeg, sim.Duration) {
+	segs := make([]phaseSeg, len(ph))
+	var off sim.Duration
+	for i, p := range ph {
+		r0 := p.RateMRPS * scale
+		r1 := r0
+		if p.Ramp {
+			r1 = ph[(i+1)%len(ph)].RateMRPS * scale
+		}
+		segs[i] = phaseSeg{start: off, dur: p.Duration, r0: r0, r1: r1}
+		off += p.Duration
+	}
+	return segs, off
 }
 
 // applyTraffic overlays the Options-level traffic model and default

@@ -54,8 +54,9 @@ func (b *stallBackend) Submit(req mem.Request, done mem.Done) {
 // re-based nextIssue off Now() after each stall, silently dropping
 // every arrival owed while the window was full (~216 of 800 here).
 func TestOpenLoopAbsoluteSchedule(t *testing.T) {
+	mesh := sim.NewMesh(1)
 	be := &stallBackend{
-		eng:       sim.NewEngine(),
+		eng:       mesh.Shard(0).Engine(),
 		service:   100 * sim.Nanosecond,
 		stallFrom: 50 * sim.Microsecond,
 		stallTo:   120 * sim.Microsecond,
@@ -68,7 +69,7 @@ func TestOpenLoopAbsoluteSchedule(t *testing.T) {
 		}},
 	}.withDefaults()
 	o := Options{Warmup: 10 * sim.Microsecond, Measure: 200 * sim.Microsecond, Seed: 1}
-	res, err := runDrivers(spec, o, be)
+	res, err := runDrivers(spec, o, mesh, []mem.Backend{be})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,14 +322,6 @@ func TestTrafficValidation(t *testing.T) {
 		}},
 		{"negative SLO target", func(s *Spec) {
 			s.Tenants[0].QoS = QoS{TargetNs: -1}
-		}},
-		{"burst on sharded hmc", func(s *Spec) {
-			s.Groups = 2
-		}},
-		{"lifecycle on sharded hmc", func(s *Spec) {
-			s.Groups = 2
-			s.Tenants[0].Inject = Injection{}
-			s.Tenants[0].Start = 10 * sim.Microsecond
 		}},
 	}
 	for _, c := range cases {

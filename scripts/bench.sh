@@ -13,10 +13,10 @@
 #                           ns/op, B/op, allocs/op plus the figures
 #                           wall time and build metadata
 #   $OUT/pdes.txt           raw output for the PDES shard benchmarks
-#                           (shard-scaling ladder + mesh parity)
+#                           (shard-scaling ladder)
 #   $OUT/BENCH_pdes.json    PDES summary: the ladder, the measuring
-#                           host's CPU count, the 8-shard chain-16
-#                           speedup and the one-shard mesh overhead
+#                           host's CPU count and the 8-shard chain-16
+#                           speedup
 #   $OUT/cache.txt          raw output for the result-cache benchmarks
 #                           (warm-hit lookup + cold/half-warm sweep)
 #   $OUT/BENCH_cache.json   cache summary: warm-hit ns and the
@@ -78,12 +78,6 @@ echo "== PDES shard benchmarks (benchtime $pdes_time)"
 go test . -run '^$' -bench '^BenchmarkShardScaling$' \
   -benchtime "$pdes_time" -benchmem \
   | tee "$out/pdes.txt"
-# The parity pair is cheap but gated tightly (mesh overhead); longer
-# benchtime + repeats push VM frequency/cache warmup noise below the
-# gate's threshold (the awk below averages repeated counts).
-go test ./internal/scenario -run '^$' -bench '^BenchmarkMeshParity$' \
-  -benchtime 10x -count 2 -benchmem \
-  | tee -a "$out/pdes.txt"
 
 echo "== result-cache benchmarks (warm hit $cache_hit_time, sweep $cache_sweep_time)"
 go test ./internal/simcache -run '^$' -bench '^BenchmarkCacheWarmHit$' \
@@ -107,124 +101,65 @@ commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 goversion=$(go env GOVERSION)
 stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
-# Fold the raw kernel output into a JSON summary. Repeated counts of
-# one benchmark are averaged.
-awk -v quick="$quick" -v commit="$commit" -v goversion="$goversion" \
-    -v stamp="$stamp" -v wall="$figures_wall" '
-  /^Benchmark/ && /ns\/op/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    sub(/^Benchmark/, "", name)
-    for (i = 2; i < NF; i++) {
-      if ($(i+1) == "ns/op")     { ns[name] += $i;  n[name]++ }
-      if ($(i+1) == "B/op")      { bop[name] += $i }
-      if ($(i+1) == "allocs/op") { aop[name] += $i }
+# fold RAW KEY EXTRA [-v NAME=VALUE ...] folds raw `go test -bench`
+# output into the JSON summary OUT/BENCH_KEY.json and prints it: build
+# metadata, then whatever the awk fragment EXTRA prints, then every
+# benchmark under KEY. Repeated counts of one benchmark are averaged.
+# EXTRA computes the derived figures (ratios via ratio(key, num, den),
+# means via mean(name)) so check_bench.sh can gate on them without
+# re-parsing benchmark text; the -v assignments feed it.
+fold() {
+  local raw="$1" key="$2" extra="$3"
+  shift 3
+  awk -v quick="$quick" -v commit="$commit" -v goversion="$goversion" \
+      -v stamp="$stamp" -v key="$key" "$@" '
+    function mean(b) { return ns[b] / n[b] }
+    function ratio(k, a, b) {
+      if (n[a] && n[b]) printf "  \"%s\": %.2f,\n", k, mean(a) / mean(b)
     }
-    if (!(name in seen)) { order[++cnt] = name; seen[name] = 1 }
-  }
-  END {
-    printf "{\n"
-    printf "  \"generated\": \"%s\",\n", stamp
-    printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"commit\": \"%s\",\n", commit
-    printf "  \"quick\": %s,\n", quick ? "true" : "false"
-    printf "  \"figures_quick_wall_s\": %s,\n", wall
-    printf "  \"kernel\": [\n"
-    for (i = 1; i <= cnt; i++) {
-      name = order[i]
-      printf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"b_per_op\": %.1f, \"allocs_per_op\": %.2f}%s\n", \
-        name, ns[name]/n[name], bop[name]/n[name], aop[name]/n[name], i < cnt ? "," : ""
+    /^Benchmark/ && /ns\/op/ {
+      name = $1
+      sub(/-[0-9]+$/, "", name)
+      sub(/^Benchmark/, "", name)
+      for (i = 2; i < NF; i++) {
+        if ($(i+1) == "ns/op")     { ns[name] += $i;  n[name]++ }
+        if ($(i+1) == "B/op")      { bop[name] += $i }
+        if ($(i+1) == "allocs/op") { aop[name] += $i }
+      }
+      if (!(name in seen)) { order[++cnt] = name; seen[name] = 1 }
     }
-    printf "  ]\n}\n"
-  }
-' "$out/kernel.txt" > "$out/BENCH_kernel.json"
+    END {
+      printf "{\n"
+      printf "  \"generated\": \"%s\",\n", stamp
+      printf "  \"go\": \"%s\",\n", goversion
+      printf "  \"commit\": \"%s\",\n", commit
+      printf "  \"quick\": %s,\n", quick ? "true" : "false"
+      '"$extra"'
+      printf "  \"%s\": [\n", key
+      for (i = 1; i <= cnt; i++) {
+        name = order[i]
+        printf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"b_per_op\": %.1f, \"allocs_per_op\": %.2f}%s\n", \
+          name, mean(name), bop[name]/n[name], aop[name]/n[name], i < cnt ? "," : ""
+      }
+      printf "  ]\n}\n"
+    }
+  ' "$raw" > "$out/BENCH_$key.json"
+  echo "== wrote $out/BENCH_$key.json"
+  cat "$out/BENCH_$key.json"
+}
 
-echo "== wrote $out/BENCH_kernel.json"
-cat "$out/BENCH_kernel.json"
+fold "$out/kernel.txt" kernel 'printf "  \"figures_quick_wall_s\": %s,\n", wall' \
+  -v wall="$figures_wall"
 
-# Fold the PDES output into its own summary. The speedup and overhead
-# ratios are computed here so check_bench.sh can gate on them without
-# re-parsing benchmark text; cpus records the measuring host, because
-# a shard-scaling number from a 1-core box is a serialization
-# measurement, not a parallelism one.
-cpus=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
-awk -v quick="$quick" -v commit="$commit" -v goversion="$goversion" \
-    -v stamp="$stamp" -v cpus="$cpus" '
-  /^Benchmark/ && /ns\/op/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    sub(/^Benchmark/, "", name)
-    for (i = 2; i < NF; i++) {
-      if ($(i+1) == "ns/op")     { ns[name] += $i;  n[name]++ }
-      if ($(i+1) == "B/op")      { bop[name] += $i }
-      if ($(i+1) == "allocs/op") { aop[name] += $i }
-    }
-    if (!(name in seen)) { order[++cnt] = name; seen[name] = 1 }
-  }
-  END {
-    printf "{\n"
-    printf "  \"generated\": \"%s\",\n", stamp
-    printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"commit\": \"%s\",\n", commit
-    printf "  \"quick\": %s,\n", quick ? "true" : "false"
-    printf "  \"cpus\": %s,\n", cpus
-    s1 = "ShardScaling/chain-16/w1"; s8 = "ShardScaling/chain-16/w8"
-    if (n[s1] && n[s8])
-      printf "  \"chain16_speedup_8w\": %.2f,\n", (ns[s1]/n[s1]) / (ns[s8]/n[s8])
-    d = "MeshParity/direct"; m = "MeshParity/mesh1"
-    if (n[d] && n[m])
-      printf "  \"mesh_overhead_pct\": %.1f,\n", ((ns[m]/n[m]) / (ns[d]/n[d]) - 1) * 100
-    printf "  \"pdes\": [\n"
-    for (i = 1; i <= cnt; i++) {
-      name = order[i]
-      printf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"b_per_op\": %.1f, \"allocs_per_op\": %.2f}%s\n", \
-        name, ns[name]/n[name], bop[name]/n[name], aop[name]/n[name], i < cnt ? "," : ""
-    }
-    printf "  ]\n}\n"
-  }
-' "$out/pdes.txt" > "$out/BENCH_pdes.json"
+# cpus records the measuring host, because a shard-scaling number from
+# a 1-core box is a serialization measurement, not a parallelism one.
+fold "$out/pdes.txt" pdes '
+  printf "  \"cpus\": %s,\n", cpus
+  ratio("chain16_speedup_8w", "ShardScaling/chain-16/w1", "ShardScaling/chain-16/w8")' \
+  -v cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 
-echo "== wrote $out/BENCH_pdes.json"
-cat "$out/BENCH_pdes.json"
-
-# Fold the cache output into its own summary. The half-warm speedup
-# ratio is computed here so check_bench.sh can gate on it directly:
-# warming the expensive half of the fidelity ladder must make the
-# sweep at least 2x faster, and a warm hit must stay microsecond-scale.
-awk -v quick="$quick" -v commit="$commit" -v goversion="$goversion" \
-    -v stamp="$stamp" '
-  /^Benchmark/ && /ns\/op/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    sub(/^Benchmark/, "", name)
-    for (i = 2; i < NF; i++) {
-      if ($(i+1) == "ns/op")     { ns[name] += $i;  n[name]++ }
-      if ($(i+1) == "B/op")      { bop[name] += $i }
-      if ($(i+1) == "allocs/op") { aop[name] += $i }
-    }
-    if (!(name in seen)) { order[++cnt] = name; seen[name] = 1 }
-  }
-  END {
-    printf "{\n"
-    printf "  \"generated\": \"%s\",\n", stamp
-    printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"commit\": \"%s\",\n", commit
-    printf "  \"quick\": %s,\n", quick ? "true" : "false"
-    w = "CacheWarmHit"
-    if (n[w])
-      printf "  \"warm_hit_ns\": %.2f,\n", ns[w]/n[w]
-    c = "CacheSweep/cold"; h = "CacheSweep/halfwarm"
-    if (n[c] && n[h])
-      printf "  \"halfwarm_speedup\": %.2f,\n", (ns[c]/n[c]) / (ns[h]/n[h])
-    printf "  \"cache\": [\n"
-    for (i = 1; i <= cnt; i++) {
-      name = order[i]
-      printf "    {\"name\": \"%s\", \"ns_per_op\": %.2f, \"b_per_op\": %.1f, \"allocs_per_op\": %.2f}%s\n", \
-        name, ns[name]/n[name], bop[name]/n[name], aop[name]/n[name], i < cnt ? "," : ""
-    }
-    printf "  ]\n}\n"
-  }
-' "$out/cache.txt" > "$out/BENCH_cache.json"
-
-echo "== wrote $out/BENCH_cache.json"
-cat "$out/BENCH_cache.json"
+# Warming the expensive half of the fidelity ladder must make the sweep
+# at least 2x faster, and a warm hit must stay microsecond-scale.
+fold "$out/cache.txt" cache '
+  if (n["CacheWarmHit"]) printf "  \"warm_hit_ns\": %.2f,\n", mean("CacheWarmHit")
+  ratio("halfwarm_speedup", "CacheSweep/cold", "CacheSweep/halfwarm")'
