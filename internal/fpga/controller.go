@@ -25,36 +25,52 @@ type node struct {
 	rxProc sim.Server // response processing
 }
 
+// maxFlits is the largest packet on the wire: header and tail plus the
+// largest payload (9 flits). It sizes the per-flit-count timing tables.
+const maxFlits = 1 + hmc.MaxPayloadBytes/hmc.FlitBytes
+
+// txnStage is the event a transaction fires next.
+type txnStage uint8
+
+const (
+	atLink   txnStage = iota // hand the packet to the device at the link
+	atDevice                 // response fully back at the controller RX
+	atDrain                  // response drained into the port
+)
+
 // txn carries one in-flight transaction through the controller's TX
 // pipeline, the device, and the RX drain. Transactions are pooled on
 // the controller and act as their own engine events (sim.Handler), so
-// the per-request hot path builds no closures: the same object fires
-// at the link hand-off and again at drain completion.
+// the per-request hot path builds no closures and passes no result
+// between stages: the same object fires at the link hand-off, at
+// device delivery and at drain completion, and the device fills its
+// res in place.
 type txn struct {
-	c        *Controller
-	nd       *node
-	link     int
-	req      hmc.Request
-	submit   sim.Time // port-visible submission time
-	res      hmc.AccessResult
-	drainEnd sim.Time
-	done     func(Result)
-	inDevice bool
-	// devDone adapts the device's completion callback onto this txn;
-	// built once when the txn is first allocated, reused thereafter.
-	devDone func(hmc.AccessResult)
-	next    *txn
+	c      *Controller
+	nd     *node
+	link   int
+	bank   int // global bank index, decoded once at Submit
+	stage  txnStage
+	req    hmc.Request
+	submit sim.Time // port-visible submission time
+	res    Result
+	done   func(Result)
+	next   *txn
 }
 
-// Fire advances the transaction: first firing hands the packet to the
-// device at the link, second firing (armed by receive) completes it.
+// Fire advances the transaction by one stage.
 func (t *txn) Fire(e *sim.Engine) {
-	if !t.inDevice {
-		t.inDevice = true
-		t.c.dev.Submit(e.Now(), t.link, t.req, t.devDone)
-		return
+	switch t.stage {
+	case atLink:
+		t.stage = atDevice
+		t.c.dev.Access(e.Now(), t.link, t.req, &t.res.AccessResult)
+		e.AtHandler(t.res.Deliver, t)
+	case atDevice:
+		t.stage = atDrain
+		t.c.receive(t)
+	default:
+		t.c.finish(t)
 	}
-	t.c.finish(t)
 }
 
 // Controller models the Micron HMC controller IP plus Pico firmware
@@ -62,9 +78,21 @@ func (t *txn) Fire(e *sim.Engine) {
 // the request flow-control stop signal as a per-bank outstanding
 // admission limit (hmc.Params.BankQueueDepth).
 type Controller struct {
-	eng *sim.Engine
-	dev *hmc.Device
-	p   Params
+	eng  *sim.Engine
+	dev  *hmc.Device
+	amap *hmc.AddressMap
+	p    Params
+
+	// Per-request constants, derived once from p and the device
+	// parameters so that the hot path does no float math and copies no
+	// parameter struct.
+	bufferLat  sim.Duration               // FlitsToParallel buffering
+	toLinkLat  sim.Duration               // arbitration, Seq#/flow control/CRC, SerDes
+	rxFixedLat sim.Duration               // RX deserialize, verify and route
+	respProc   sim.Duration               // device ResponseProcessing per response
+	bankDepth  int                        // device BankQueueDepth
+	txPipe     [maxFlits + 1]sim.Duration // TxPipeTime by request flits
+	drainTime  [maxFlits + 1]sim.Duration // DrainTime by response flits
 
 	nodes  []node
 	drains []sim.Server // per-port response drain
@@ -88,14 +116,25 @@ func NewController(eng *sim.Engine, dev *hmc.Device, p Params) (*Controller, err
 		return nil, fmt.Errorf("fpga: nil engine or device")
 	}
 	banks := dev.Geometry().Banks()
+	dp := dev.Params()
 	c := &Controller{
 		eng:         eng,
 		dev:         dev,
+		amap:        dev.AddressMap(),
 		p:           p,
+		bufferLat:   p.Cycles(p.FlitsToParallelCycles),
+		toLinkLat:   p.Cycles(p.ArbiterCycles + p.SeqFlowCRCCycles + p.SerDesConvertCycles),
+		rxFixedLat:  p.RxFixedLatency(),
+		respProc:    dp.ResponseProcessing,
+		bankDepth:   dp.BankQueueDepth,
 		nodes:       make([]node, dev.Links()),
 		drains:      make([]sim.Server, p.Ports),
 		outstanding: make([]int, banks),
 		waiters:     make([][]func(), banks),
+	}
+	for flits := range c.txPipe {
+		c.txPipe[flits] = p.TxPipeTime(flits)
+		c.drainTime[flits] = p.DrainTime(flits)
 	}
 	return c, nil
 }
@@ -120,31 +159,25 @@ func (c *Controller) Device() *hmc.Device { return c.dev }
 // other.
 func (c *Controller) PortLink(port int) int { return port % len(c.nodes) }
 
-// bankOf decodes the admission bookkeeping index for an address.
-func (c *Controller) bankOf(addr uint64) int {
-	loc := c.dev.AddressMap().Decode(addr)
-	return loc.GlobalBank(c.dev.Geometry())
-}
-
 // CanIssue reports whether the flow-control unit would admit a
 // request to addr right now, i.e. the target bank's outstanding count
 // is below the stop threshold.
 func (c *Controller) CanIssue(addr uint64) bool {
-	return c.outstanding[c.bankOf(addr)] < c.dev.Params().BankQueueDepth
+	return c.outstanding[c.amap.GlobalBank(addr)] < c.bankDepth
 }
 
 // WaitBank registers fn to run once a slot frees in addr's bank
 // queue. The caller re-checks CanIssue (multiple waiters may race for
 // one slot).
 func (c *Controller) WaitBank(addr uint64, fn func()) {
-	b := c.bankOf(addr)
+	b := c.amap.GlobalBank(addr)
 	c.waiters[b] = append(c.waiters[b], fn)
 }
 
 // BankOutstanding reports the current outstanding count of the bank
 // holding addr (test/diagnostic hook).
 func (c *Controller) BankOutstanding(addr uint64) int {
-	return c.outstanding[c.bankOf(addr)]
+	return c.outstanding[c.amap.GlobalBank(addr)]
 }
 
 // Submitted and Completed report transaction counts.
@@ -156,11 +189,6 @@ func (c *Controller) newTxn() *txn {
 	t := c.freeTxns
 	if t == nil {
 		t = &txn{c: c}
-		t.devDone = func(res hmc.AccessResult) {
-			// Preserve the port-visible submission time.
-			res.Submit = t.submit
-			c.receive(t, res)
-		}
 	} else {
 		c.freeTxns = t.next
 	}
@@ -170,7 +198,7 @@ func (c *Controller) newTxn() *txn {
 // releaseTxn returns a transaction to the pool.
 func (c *Controller) releaseTxn(t *txn) {
 	t.done = nil
-	t.inDevice = false
+	t.stage = atLink
 	t.next = c.freeTxns
 	c.freeTxns = t
 }
@@ -183,12 +211,17 @@ func (c *Controller) releaseTxn(t *txn) {
 //
 // Admission is the caller's job: ports consult CanIssue/WaitBank
 // before submitting (the stop signal halts generation, it does not
-// reject in-flight packets).
+// reject in-flight packets). An invalid payload size or a port outside
+// 0..Ports-1 panics here, before any state changes.
 func (c *Controller) Submit(req hmc.Request, done func(Result)) {
+	hmc.CheckPayload(req.Size)
+	if req.Port < 0 || req.Port >= len(c.drains) {
+		panic(fmt.Sprintf("fpga: port %d outside 0..%d", req.Port, len(c.drains)-1))
+	}
 	now := c.eng.Now()
 	link := c.PortLink(req.Port)
 	nd := &c.nodes[link]
-	bank := c.bankOf(req.Addr)
+	bank := c.amap.GlobalBank(req.Addr)
 	c.outstanding[bank]++
 	c.submitted++
 
@@ -196,24 +229,22 @@ func (c *Controller) Submit(req hmc.Request, done func(Result)) {
 
 	// TX: buffering, then the node flit pipeline, then the remaining
 	// fixed stages ahead of link serialization.
-	buffered := now + c.p.Cycles(c.p.FlitsToParallelCycles)
-	_, pipeEnd := nd.txPipe.ReserveAt(now, buffered, c.p.TxPipeTime(reqFlits))
-	atLink := pipeEnd + c.p.Cycles(c.p.ArbiterCycles+c.p.SeqFlowCRCCycles+c.p.SerDesConvertCycles)
+	_, pipeEnd := nd.txPipe.ReserveAt(now, now+c.bufferLat, c.txPipe[reqFlits])
 
 	t := c.newTxn()
-	t.nd, t.link, t.req, t.submit, t.done = nd, link, req, now, done
-	c.eng.AtHandler(atLink, t)
+	t.nd, t.link, t.bank, t.req, t.submit, t.done = nd, link, bank, req, now, done
+	c.eng.AtHandler(pipeEnd+c.toLinkLat, t)
 }
 
 // receive drives the RX path: response processing on the node, fixed
 // verification latency, then the per-port drain.
-func (c *Controller) receive(t *txn, res hmc.AccessResult) {
+func (c *Controller) receive(t *txn) {
 	nowRx := c.eng.Now()
-	_, procEnd := t.nd.rxProc.Reserve(nowRx, c.dev.Params().ResponseProcessing)
-	verified := procEnd + c.p.RxFixedLatency()
+	_, procEnd := t.nd.rxProc.Reserve(nowRx, c.respProc)
 	respFlits := t.req.WireBytesResponse() / hmc.FlitBytes
-	_, drainEnd := c.drains[t.req.Port].ReserveAt(nowRx, verified, c.p.DrainTime(respFlits))
-	t.res, t.drainEnd = res, drainEnd
+	_, drainEnd := c.drains[t.req.Port].ReserveAt(nowRx, procEnd+c.rxFixedLat, c.drainTime[respFlits])
+	// The port measures from its own submission, not the link hand-off.
+	t.res.Submit, t.res.PortDeliver = t.submit, drainEnd
 	c.eng.AtHandler(drainEnd, t)
 }
 
@@ -221,10 +252,9 @@ func (c *Controller) receive(t *txn, res hmc.AccessResult) {
 // then the port callback. The txn returns to the pool first so that
 // reentrant submissions from the callback reuse it.
 func (c *Controller) finish(t *txn) {
-	done, res, drainEnd, addr := t.done, t.res, t.drainEnd, t.req.Addr
+	done, res, bank := t.done, t.res, t.bank
 	c.releaseTxn(t)
 	c.completed++
-	bank := c.bankOf(addr)
 	c.outstanding[bank]--
 	// Wake every waiter; they re-check admission. Waiters are copied
 	// to a scratch buffer so wakeups that immediately re-wait append
@@ -236,5 +266,5 @@ func (c *Controller) finish(t *txn) {
 			w()
 		}
 	}
-	done(Result{AccessResult: res, PortDeliver: drainEnd})
+	done(res)
 }

@@ -63,6 +63,94 @@ func TestResultTimestampOrdering(t *testing.T) {
 	}
 }
 
+// TestRequestTimelinePinned pins the exact picosecond timeline and the
+// engine event count of one isolated read and one isolated write. The
+// values were recorded before the controller and device cached their
+// per-request constants, so a cached constant that rounds differently,
+// or an added or dropped event, shows up here. Both requests go to a
+// remote quadrant (one QuadrantHop each way) and start off time zero,
+// so the port-visible Submit differs from the link hand-off time.
+func TestRequestTimelinePinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		start sim.Time
+		req   hmc.Request
+		want  [7]sim.Time // Submit, DeviceArrive, BankStart, BankEnd, RespDepart, Deliver, PortDeliver
+	}{
+		{"read128", 1_000_000, hmc.Request{Addr: 0x1_2345_6780, Size: 128, Port: 0},
+			[7]sim.Time{1_000_000, 1_276_515, 1_289_315, 1_350_115, 1_430_915, 1_471_655, 1_740_272}},
+		{"write64", 2_500_123, hmc.Request{Addr: 0x40_0c80, Size: 64, Write: true, Port: 3},
+			[7]sim.Time{2_500_123, 2_784_744, 2_795_944, 2_850_344, 2_916_744, 2_946_604, 3_172_557}},
+	}
+	for _, c := range cases {
+		eng, dev, ctrl := newRig(t)
+		eng.RunUntil(c.start)
+		var r Result
+		calls := 0
+		ctrl.Submit(c.req, func(res Result) { r = res; calls++ })
+		eng.Run()
+		if calls != 1 {
+			t.Fatalf("%s: %d completions, want 1", c.name, calls)
+		}
+		got := [7]sim.Time{r.Submit, r.DeviceArrive, r.BankStart, r.BankEnd, r.RespDepart, r.Deliver, r.PortDeliver}
+		if got != c.want {
+			t.Errorf("%s: timeline %d ps, want %d ps", c.name, got, c.want)
+		}
+		if r.Req != c.req || r.Loc != dev.AddressMap().Decode(c.req.Addr) || r.Err {
+			t.Errorf("%s: result carries req %+v loc %+v err %v", c.name, r.Req, r.Loc, r.Err)
+		}
+		// Link hand-off, device delivery, port drain.
+		if n := eng.Processed(); n != 3 {
+			t.Errorf("%s: %d engine events, want 3", c.name, n)
+		}
+	}
+}
+
+// TestSubmitRejectsBeforeMutating: an invalid payload size or port
+// panics inside Submit with the device's message, before the
+// transaction is counted or its bank slot taken, so the per-flit
+// timing tables are never indexed out of range.
+func TestSubmitRejectsBeforeMutating(t *testing.T) {
+	eng, dev, ctrl := newRig(t)
+	const addr = 0x4000
+	ctrl.Submit(hmc.Request{Addr: addr, Size: 64}, func(Result) {})
+	deviceMsg := func(req hmc.Request) (msg any) {
+		defer func() { msg = recover() }()
+		dev.Submit(eng.Now(), 0, req, func(hmc.AccessResult) {})
+		return nil
+	}
+	for _, req := range []hmc.Request{
+		{Addr: addr, Size: 20},
+		{Addr: addr, Size: 256},
+		{Addr: addr, Size: 0, Write: true},
+		{Addr: addr, Size: 64, Port: ctrl.Params().Ports},
+		{Addr: addr, Size: 64, Port: -1},
+	} {
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			ctrl.Submit(req, func(Result) { t.Errorf("%+v completed", req) })
+		}()
+		if got == nil {
+			t.Errorf("%+v: Submit did not panic", req)
+			continue
+		}
+		if !hmc.ValidPayload(req.Size) {
+			if want := deviceMsg(req); got != want {
+				t.Errorf("%+v: panic %v, want the device's %v", req, got, want)
+			}
+		}
+		if ctrl.Submitted() != 1 || ctrl.BankOutstanding(addr) != 1 {
+			t.Fatalf("%+v: submitted %d, bank outstanding %d after a rejected Submit, want 1 and 1",
+				req, ctrl.Submitted(), ctrl.BankOutstanding(addr))
+		}
+	}
+	eng.Run()
+	if ctrl.Completed() != 1 || ctrl.BankOutstanding(addr) != 0 {
+		t.Fatalf("completed %d, outstanding %d after drain", ctrl.Completed(), ctrl.BankOutstanding(addr))
+	}
+}
+
 // TestWritePipelineThroughput: 9-flit write requests through one node
 // are limited by the TX flit pipeline; issuing many from one port
 // spaces completions by ~flits/TxFlitsPerCycle cycles.

@@ -86,15 +86,30 @@ type AddressMap struct {
 	geo      Geometry
 	maxBlock MaxBlockSize
 
-	offsetBits int
-	vqBits     int
-	qBits      int
-	bankBits   int
-
+	// Field shifts and masks, fixed at construction so that Decode and
+	// GlobalBank are shifts and ANDs only. Vault-in-quadrant and
+	// quadrant are adjacent fields, so together they read out as the
+	// global vault id (vaultMask).
 	vqShift   uint
 	qShift    uint
 	bankShift uint
 	rowShift  uint
+	bankBits  uint
+
+	offMask   uint64
+	vqMask    uint64
+	qMask     uint64
+	vaultMask uint64
+	bankMask  uint64
+
+	vaultsPerQuadrant int
+
+	// blocksPerRow max blocks share one DRAM row, so Decode divides it
+	// out of the row field: with a shift to rowDivShift when it is a
+	// power of two (every architected geometry), by division otherwise.
+	blocksPerRow uint64
+	rowDivShift  uint
+	rowDivPow2   bool
 
 	addrMask uint64 // significant low-order address bits
 }
@@ -112,19 +127,35 @@ func NewAddressMap(g Geometry, maxBlock MaxBlockSize) (*AddressMap, error) {
 	if !pow2(g.Vaults) || !pow2(g.Quadrants) || !pow2(g.BanksPerVault) {
 		return nil, fmt.Errorf("hmc: geometry not power-of-two: %+v", g)
 	}
-	m := &AddressMap{geo: g, maxBlock: maxBlock}
-	m.offsetBits = bits.TrailingZeros(uint(int(maxBlock) / elementBytes))
-	m.vqBits = bits.TrailingZeros(uint(g.VaultsPerQuadrant()))
-	m.qBits = bits.TrailingZeros(uint(g.Quadrants))
-	m.bankBits = bits.TrailingZeros(uint(g.BanksPerVault))
+	m := &AddressMap{geo: g, maxBlock: maxBlock, vaultsPerQuadrant: g.VaultsPerQuadrant()}
+	offsetBits := uint(bits.TrailingZeros(uint(int(maxBlock) / elementBytes)))
+	vqBits := uint(bits.TrailingZeros(uint(m.vaultsPerQuadrant)))
+	qBits := uint(bits.TrailingZeros(uint(g.Quadrants)))
+	m.bankBits = uint(bits.TrailingZeros(uint(g.BanksPerVault)))
 
-	m.vqShift = uint(4 + m.offsetBits)
-	m.qShift = m.vqShift + uint(m.vqBits)
-	m.bankShift = m.qShift + uint(m.qBits)
-	m.rowShift = m.bankShift + uint(m.bankBits)
+	m.vqShift = 4 + offsetBits
+	m.qShift = m.vqShift + vqBits
+	m.bankShift = m.qShift + qBits
+	m.rowShift = m.bankShift + m.bankBits
+
+	mask := func(width uint) uint64 { return (uint64(1) << width) - 1 }
+	m.offMask = mask(offsetBits)
+	m.vqMask = mask(vqBits)
+	m.qMask = mask(qBits)
+	m.vaultMask = mask(vqBits + qBits)
+	m.bankMask = mask(m.bankBits)
+
+	m.blocksPerRow = uint64(g.PageBytes) / uint64(maxBlock)
+	if m.blocksPerRow == 0 {
+		m.blocksPerRow = 1
+	}
+	if m.blocksPerRow&(m.blocksPerRow-1) == 0 {
+		m.rowDivPow2 = true
+		m.rowDivShift = m.rowShift + uint(bits.TrailingZeros64(m.blocksPerRow))
+	}
 
 	capBits := bits.TrailingZeros64(g.SizeBytes)
-	m.addrMask = (uint64(1) << capBits) - 1
+	m.addrMask = mask(uint(capBits))
 	return m, nil
 }
 
@@ -152,40 +183,41 @@ func (m *AddressMap) CapacityMask() uint64 { return m.addrMask }
 // Decode maps a physical address to its structural location.
 func (m *AddressMap) Decode(addr uint64) Location {
 	a := addr & m.addrMask
-	field := func(shift uint, width int) uint64 {
-		return (a >> shift) & ((1 << uint(width)) - 1)
-	}
 	loc := Location{
-		VaultInQuadrant: int(field(m.vqShift, m.vqBits)),
-		Quadrant:        int(field(m.qShift, m.qBits)),
-		Bank:            int(field(m.bankShift, m.bankBits)),
-		BlockOffset:     (a >> 4 & ((1 << uint(m.offsetBits)) - 1)) * elementBytes,
+		Quadrant:        int((a >> m.qShift) & m.qMask),
+		VaultInQuadrant: int((a >> m.vqShift) & m.vqMask),
+		Vault:           int((a >> m.vqShift) & m.vaultMask),
+		Bank:            int((a >> m.bankShift) & m.bankMask),
+		BlockOffset:     ((a >> 4) & m.offMask) * elementBytes,
 	}
-	loc.Vault = loc.Quadrant*m.geo.VaultsPerQuadrant() + loc.VaultInQuadrant
 	// A 256 B row spans several max blocks in the same bank; the row
 	// index therefore divides out the blocks-per-row factor.
-	blocksPerRow := uint64(m.geo.PageBytes) / uint64(m.maxBlock)
-	if blocksPerRow == 0 {
-		blocksPerRow = 1
+	if m.rowDivPow2 {
+		loc.Row = a >> m.rowDivShift
+	} else {
+		loc.Row = (a >> m.rowShift) / m.blocksPerRow
 	}
-	loc.Row = (a >> m.rowShift) / blocksPerRow
 	return loc
+}
+
+// GlobalBank is Decode(addr).GlobalBank(m.Geometry()) without building
+// the Location: the per-bank admission index the controller consults
+// on every request.
+func (m *AddressMap) GlobalBank(addr uint64) int {
+	a := addr & m.addrMask
+	vault := (a >> m.vqShift) & m.vaultMask
+	return int(vault<<m.bankBits | (a>>m.bankShift)&m.bankMask)
 }
 
 // Encode is the inverse of Decode: it builds the lowest address that
 // decodes to the given vault, bank and row (block offset zero).
 func (m *AddressMap) Encode(vault, bank int, row uint64) uint64 {
-	g := m.geo
-	q := vault / g.VaultsPerQuadrant()
-	vq := vault % g.VaultsPerQuadrant()
-	blocksPerRow := uint64(g.PageBytes) / uint64(m.maxBlock)
-	if blocksPerRow == 0 {
-		blocksPerRow = 1
-	}
+	q := vault / m.vaultsPerQuadrant
+	vq := vault % m.vaultsPerQuadrant
 	a := uint64(vq)<<m.vqShift |
 		uint64(q)<<m.qShift |
 		uint64(bank)<<m.bankShift |
-		(row*blocksPerRow)<<m.rowShift
+		(row*m.blocksPerRow)<<m.rowShift
 	return a & m.addrMask
 }
 

@@ -1,12 +1,54 @@
 package hmc
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
+
+// referenceDecode is the division-based decoder that the shift-and-mask
+// Decode replaced, kept verbatim as the fuzz oracle; only the field
+// widths, which used to live on AddressMap, are recomputed here from
+// the geometry and block size.
+func referenceDecode(g Geometry, maxBlock MaxBlockSize, addr uint64) Location {
+	offsetBits := bits.TrailingZeros(uint(int(maxBlock) / elementBytes))
+	vqBits := bits.TrailingZeros(uint(g.VaultsPerQuadrant()))
+	qBits := bits.TrailingZeros(uint(g.Quadrants))
+	bankBits := bits.TrailingZeros(uint(g.BanksPerVault))
+	vqShift := uint(4 + offsetBits)
+	qShift := vqShift + uint(vqBits)
+	bankShift := qShift + uint(qBits)
+	rowShift := bankShift + uint(bankBits)
+	addrMask := (uint64(1) << bits.TrailingZeros64(g.SizeBytes)) - 1
+
+	a := addr & addrMask
+	field := func(shift uint, width int) uint64 {
+		return (a >> shift) & ((1 << uint(width)) - 1)
+	}
+	loc := Location{
+		VaultInQuadrant: int(field(vqShift, vqBits)),
+		Quadrant:        int(field(qShift, qBits)),
+		Bank:            int(field(bankShift, bankBits)),
+		BlockOffset:     (a >> 4 & ((1 << uint(offsetBits)) - 1)) * elementBytes,
+	}
+	loc.Vault = loc.Quadrant*g.VaultsPerQuadrant() + loc.VaultInQuadrant
+	// A 256 B row spans several max blocks in the same bank; the row
+	// index therefore divides out the blocks-per-row factor.
+	blocksPerRow := uint64(g.PageBytes) / uint64(maxBlock)
+	if blocksPerRow == 0 {
+		blocksPerRow = 1
+	}
+	loc.Row = (a >> rowShift) / blocksPerRow
+	return loc
+}
 
 // FuzzAddressRoundTrip checks the mask/mapping round-trip invariants
 // of the address map for every geometry and max-block mode: Decode
-// must stay in structural range, Encode(Decode(a)) must decode back
-// to the same (vault, bank, row), and the capacity mask must bound
-// everything.
+// must equal the division-based reference decoder and stay in
+// structural range, GlobalBank must agree with Decode,
+// Encode(Decode(a)) must decode back to the same (vault, bank, row),
+// and the capacity mask must bound everything. A 384 B-page HMC 1.1
+// variant (3 to 24 blocks per row) exercises Decode's division
+// fallback for a blocks-per-row factor that is not a power of two.
 func FuzzAddressRoundTrip(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(0x1234_5678))
@@ -18,9 +60,12 @@ func FuzzAddressRoundTrip(f *testing.F) {
 		m *AddressMap
 	}
 	var maps []cfg
-	for _, gen := range []Generation{HMC10, HMC11, HMC20} {
+	oddPage := Geometries(HMC11)
+	oddPage.PageBytes = 384
+	geos := []Geometry{Geometries(HMC10), Geometries(HMC11), Geometries(HMC20), oddPage}
+	for _, g := range geos {
 		for _, mb := range []MaxBlockSize{Block16, Block32, Block64, Block128} {
-			maps = append(maps, cfg{MustAddressMap(Geometries(gen), mb)})
+			maps = append(maps, cfg{MustAddressMap(g, mb)})
 		}
 	}
 
@@ -29,6 +74,12 @@ func FuzzAddressRoundTrip(f *testing.F) {
 			m := c.m
 			g := m.Geometry()
 			loc := m.Decode(addr)
+			if want := referenceDecode(g, m.MaxBlock(), addr); loc != want {
+				t.Fatalf("%v/%d/%dB page: Decode(%#x) = %+v, reference %+v", g.Gen, m.MaxBlock(), g.PageBytes, addr, loc, want)
+			}
+			if gb, want := m.GlobalBank(addr), loc.GlobalBank(g); gb != want {
+				t.Fatalf("%v/%d: GlobalBank(%#x) = %d, Decode gives %d", g.Gen, m.MaxBlock(), addr, gb, want)
+			}
 			if loc.Vault < 0 || loc.Vault >= g.Vaults {
 				t.Fatalf("%v/%d: vault %d out of range for %#x", g.Gen, m.MaxBlock(), loc.Vault, addr)
 			}

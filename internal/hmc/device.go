@@ -123,6 +123,11 @@ type Device struct {
 	store  *Storage
 	failed bool
 
+	// linkByteTime and tsvBeatTime cache the float-derived per-byte
+	// link and per-beat vault bus costs every access pays.
+	linkByteTime sim.Duration
+	tsvBeatTime  sim.Duration
+
 	// deliver schedules completion callbacks through a pooled event,
 	// so the per-access hot path allocates nothing in steady state.
 	deliver sim.Deliverer[AccessResult]
@@ -141,6 +146,7 @@ func NewDevice(eng *sim.Engine, p Params, amap *AddressMap) (*Device, error) {
 	}
 	g := amap.Geometry()
 	d := &Device{eng: eng, p: p, geo: g, amap: amap, policy: ClosedPage,
+		linkByteTime: p.LinkByteTime(), tsvBeatTime: p.TSVBeatTime(),
 		deliver: sim.NewDeliverer[AccessResult](eng)}
 	d.links = make([]linkState, p.Links.Count)
 	for i := range d.links {
@@ -227,28 +233,44 @@ func (d *Device) Reset() {
 // link; done is invoked (as a scheduled event) when the response has
 // fully arrived back at the controller's receiver.
 func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessResult)) {
+	var res AccessResult
+	d.Access(now, link, req, &res)
+	d.deliver.Deliver(res.Deliver, res, done)
+}
+
+// Access is the timing core of Submit: it presents req at time now on
+// the given link, reserves every link, vault and bank resource the
+// request occupies, updates the counters and fills *res with the
+// complete timing deconstruction. It schedules nothing.
+//
+// The caller owns res. Access overwrites every field of *res and keeps
+// no reference to it once it returns. The response it describes is
+// still in flight until res.Deliver: the caller schedules whatever
+// consumes it at that instant (Submit through a pooled event, the
+// AC-510 controller by rescheduling its own transaction) and must not
+// hand res to the host earlier.
+func (d *Device) Access(now sim.Time, link int, req Request, res *AccessResult) {
 	if link < 0 || link >= len(d.links) {
 		panic(fmt.Sprintf("hmc: link %d out of range", link))
 	}
-	if !ValidPayload(req.Size) {
-		panic(fmt.Sprintf("hmc: invalid request size %d", req.Size))
-	}
+	CheckPayload(req.Size)
 	loc := d.amap.Decode(req.Addr)
-	res := AccessResult{Req: req, Loc: loc, Submit: now}
 
 	if d.failed {
 		// The device returns error-flagged responses promptly; no
 		// DRAM access happens.
 		d.counters.Rejected++
-		res.Err = true
-		res.Deliver = now + d.p.LinkWireLatency*2 + d.p.IngressLatency
-		d.deliver.Deliver(res.Deliver, res, done)
+		*res = AccessResult{Req: req, Loc: loc, Submit: now, Err: true,
+			Deliver: now + d.p.LinkWireLatency*2 + d.p.IngressLatency}
 		return
 	}
+	// The healthy path assigns every field, so a reused res needs no
+	// clearing first.
+	res.Req, res.Loc, res.Submit, res.Err = req, loc, now, false
 
 	ls := &d.links[link]
 	// Request serialization onto the link (TX direction).
-	_, serEnd := ls.tx.Reserve(now, d.p.SerializationTime(req.WireBytesRequest()))
+	_, serEnd := ls.tx.Reserve(now, d.serialization(req.WireBytesRequest()))
 	arrive := serEnd + d.p.LinkWireLatency + d.p.IngressLatency
 	if loc.Quadrant != ls.quadrant {
 		arrive += d.p.QuadrantHop
@@ -277,7 +299,7 @@ func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessRes
 	res.BankStart, res.BankEnd = bStart, bEnd
 
 	// Vault data bus (TSV) transfer at 32 B granularity.
-	_, tsvEnd := v.tsv.ReserveAt(now, bEnd, sim.Duration(beats)*d.p.TSVBeatTime())
+	_, tsvEnd := v.tsv.ReserveAt(now, bEnd, sim.Duration(beats)*d.tsvBeatTime)
 
 	respReady := tsvEnd + d.p.EgressLatency
 	if loc.Quadrant != ls.quadrant {
@@ -286,7 +308,7 @@ func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessRes
 	res.RespDepart = respReady
 
 	// Response serialization back over the same link (RX direction).
-	_, respSerEnd := ls.rx.ReserveAt(now, respReady, d.p.SerializationTime(req.WireBytesResponse()))
+	_, respSerEnd := ls.rx.ReserveAt(now, respReady, d.serialization(req.WireBytesResponse()))
 	res.Deliver = respSerEnd + d.p.LinkWireLatency
 
 	// Accounting.
@@ -297,8 +319,11 @@ func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessRes
 	}
 	d.counters.DataBytes += uint64(req.Size)
 	d.counters.WireBytes += uint64(req.WireBytesRequest() + req.WireBytesResponse())
+}
 
-	d.deliver.Deliver(res.Deliver, res, done)
+// serialization is Params.SerializationTime over the cached byte time.
+func (d *Device) serialization(wireBytes int) sim.Duration {
+	return sim.Duration(wireBytes)*d.linkByteTime + d.p.LinkPacketGap
 }
 
 // SubmitLocal performs a vault-local access from a compute element in
@@ -307,9 +332,7 @@ func (d *Device) Submit(now sim.Time, link int, req Request, done func(AccessRes
 // the host controller entirely. This is the data path whose thermal
 // consequences the paper's Sections I and IV-C warn about.
 func (d *Device) SubmitLocal(now sim.Time, req Request, done func(AccessResult)) {
-	if !ValidPayload(req.Size) {
-		panic(fmt.Sprintf("hmc: invalid request size %d", req.Size))
-	}
+	CheckPayload(req.Size)
 	loc := d.amap.Decode(req.Addr)
 	res := AccessResult{Req: req, Loc: loc, Submit: now}
 	if d.failed {
@@ -338,7 +361,7 @@ func (d *Device) SubmitLocal(now sim.Time, req Request, done func(AccessResult))
 	}
 	bStart, bEnd := bank.srv.ReserveAt(now, frontEnd, occ)
 	res.BankStart, res.BankEnd = bStart, bEnd
-	_, tsvEnd := v.tsv.ReserveAt(now, bEnd, sim.Duration(beats)*d.p.TSVBeatTime())
+	_, tsvEnd := v.tsv.ReserveAt(now, bEnd, sim.Duration(beats)*d.tsvBeatTime)
 	res.RespDepart = tsvEnd
 	res.Deliver = tsvEnd
 

@@ -63,6 +63,24 @@ func ValidPayload(size int) bool {
 	return size >= MinPayloadBytes && size <= MaxPayloadBytes && size%FlitBytes == 0
 }
 
+// PayloadError is the panic value of a request whose payload size is
+// not architected.
+type PayloadError int
+
+func (e PayloadError) Error() string {
+	return fmt.Sprintf("hmc: invalid request size %d", int(e))
+}
+
+// CheckPayload panics with a PayloadError unless size is a valid
+// payload. Every submission path (device links, vault-local PIM access,
+// the host controller) calls it before it touches any state, so an
+// invalid request fails at the call instead of inside a later event.
+func CheckPayload(size int) {
+	if !ValidPayload(size) {
+		panic(PayloadError(size))
+	}
+}
+
 // Flits returns the total size in flits of a packet carrying
 // payloadBytes of data (0 for header+tail-only packets), per Table II:
 // read request 1 flit, read response 2-9 flits, write request 2-9

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # bench.sh — the repo's benchmark + artifact pipeline.
 #
-# Runs the simulation-kernel microbenchmarks and the table/figure
-# reproduction benchmarks, times a full-registry `cmd/figures -quick`
-# pass, and writes:
+# Runs the simulation-kernel microbenchmarks, the HMC request-path
+# benchmark and the table/figure reproduction benchmarks, times a
+# full-registry `cmd/figures -quick` pass, and writes:
 #
 #   $OUT/kernel.txt         raw `go test -bench` output for the kernel
+#                           and for one closed-loop HMC read through
+#                           mem.HMC (BenchmarkHMCRequest)
 #                           (benchstat-comparable; feed two of these to
 #                           `benchstat old.txt new.txt`)
 #   $OUT/figures_bench.txt  raw output for the table/figure benchmarks
@@ -69,6 +71,9 @@ echo "== kernel benchmarks (benchtime $kernel_time, count $kernel_count)"
 go test ./internal/sim -run '^$' -bench "$kernel_bench" \
   -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
   | tee "$out/kernel.txt"
+go test ./internal/mem -run '^$' -bench '^BenchmarkHMCRequest$' \
+  -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
+  | tee -a "$out/kernel.txt"
 
 echo "== table/figure benchmarks"
 go test . -run '^$' -bench "$fig_bench" -benchtime 1x -benchmem \
