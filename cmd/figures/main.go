@@ -5,11 +5,25 @@
 // Usage:
 //
 //	figures [-out results] [-id figure7] [-quick] [-measure-us 800]
-//	        [-workers N] [-progress] [-cpuprofile cpu.pprof]
-//	        [-memprofile mem.pprof]
+//	        [-warmup-us 150] [-seed 1] [-workers N] [-ext] [-list]
+//	        [-progress] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	        [overlay flags]
+//	figures -quick -serve-check http://127.0.0.1:8080 -id scn-uniform [overlay flags]
 //
 // Without -id it runs the full registry (Table I-III, Figure 3,
-// Figures 6-18). Ctrl-C cancels the in-flight sweep cleanly.
+// Figures 6-18; -ext adds the extension, scenario and characterization
+// families). Ctrl-C cancels the in-flight sweep cleanly.
+//
+// The overlay flags are the scenario run options shared with hmcsim
+// (scenario.Options.BindFlags): -thermal, -cooling, -shards, -faults,
+// -fault-retries, -fault-backoff-us, -fault-deadline-us, -traffic and
+// -slo-ns. The scenario-backed experiments (scn-*, scenarios, sharded,
+// ext-backends, ext-loadlat-*) run under them as given; ext-thermal-*
+// always closes the loop, ext-fault-* always injects, ext-slo-* drops
+// -traffic and -slo-ns, and the sharded library drops -thermal. The
+// paper's figures ignore them. -serve-check replays one scn-*
+// experiment through a running hmcsimd with the same overlays and
+// diffs the server's report against the registry's own run.
 //
 // The profile flags capture the whole registry run: the CPU profile
 // stops and both files are written after the last experiment
@@ -33,27 +47,20 @@ import (
 
 	"hmcsim/internal/experiments"
 	"hmcsim/internal/runner"
-	"hmcsim/internal/scenario"
 	"hmcsim/internal/sim"
 )
 
 func main() {
+	var opts experiments.Options
+	opts.BindFlags(flag.CommandLine)
+	flag.Uint64Var(&opts.Seed, "seed", 1, "random seed")
+	flag.IntVar(&opts.Workers, "workers", 0, "concurrent simulations (0 = NumCPU)")
 	out := flag.String("out", "results", "output directory")
 	id := flag.String("id", "", "run a single experiment id (e.g. figure7); empty = all")
 	quick := flag.Bool("quick", false, "use quick (low-fidelity) measurement windows")
 	measureUs := flag.Int("measure-us", 0, "override measurement window in simulated microseconds")
 	warmupUs := flag.Int("warmup-us", 0, "override warmup window in simulated microseconds")
-	seed := flag.Uint64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
-	shards := flag.Int("shards", 1, "worker goroutines per sharded scenario's PDES mesh (results identical at every value)")
 	ext := flag.Bool("ext", false, "include the extension experiments (ablations, projections)")
-	thermal := flag.Bool("thermal", false, "close the thermal/power feedback loop on scenario-backed experiments (scn-*, ext-backends, ext-loadlat)")
-	cooling := flag.String("cooling", "", "Table III cooling environment for -thermal: Cfg1..Cfg4 (default Cfg2)")
-	faults := flag.String("faults", "", "overlay a fault plan on scenario-backed experiments (see internal/fault; the ext-fault-* family always injects)")
-	faultRetries := flag.Int("fault-retries", 0, "retry errored scenario requests up to N times with exponential backoff")
-	faultDeadlineUs := flag.Float64("fault-deadline-us", 0, "abandon scenario requests older than this many simulated microseconds (0 = never)")
-	traffic := flag.String("traffic", "", "overlay a traffic model on scenario-backed experiments, e.g. \"burst:8/0.5@10us/25us\" (the ext-slo-* family scripts its own ladders)")
-	sloNs := flag.Float64("slo-ns", 0, "default per-tenant latency SLO target in nanoseconds on scenario-backed experiments")
 	serveCheckURL := flag.String("serve-check", "", "replay a scn-* experiment through a running hmcsimd at this base URL and diff against the local run")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	progress := flag.Bool("progress", false, "print per-cell sweep progress")
@@ -78,28 +85,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	opts := experiments.Default()
+	windows := experiments.Default()
 	if *quick {
-		opts = experiments.Quick()
+		windows = experiments.Quick()
 	}
+	opts.Warmup, opts.Measure = windows.Warmup, windows.Measure
 	if *measureUs > 0 {
 		opts.Measure = sim.Duration(*measureUs) * sim.Microsecond
 	}
 	if *warmupUs > 0 {
 		opts.Warmup = sim.Duration(*warmupUs) * sim.Microsecond
 	}
-	opts.Seed = *seed
-	opts.Workers = *workers
-	opts.Shards = *shards
-	opts.Thermal = *thermal || *cooling != ""
-	opts.Cooling = *cooling
-	opts.Faults = scenario.Faults{
-		Plan:       *faults,
-		MaxRetries: *faultRetries,
-		Deadline:   sim.Duration(*faultDeadlineUs * float64(sim.Microsecond)),
-	}
-	opts.Traffic = *traffic
-	opts.SLONs = *sloNs
 	opts.Context = ctx
 	if *progress {
 		opts.Progress = func(done, total int) {

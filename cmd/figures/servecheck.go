@@ -11,62 +11,44 @@ import (
 
 	"hmcsim/internal/experiments"
 	"hmcsim/internal/scenario"
-	"hmcsim/internal/sim"
 )
 
 // serveCheck replays a scenario-backed experiment through a running
 // hmcsimd instance and diffs the server's rendered report against the
-// same run computed locally — the end-to-end check that the service's
-// cache serves exactly the bytes the engine produces (the local path
-// is itself pinned by the golden-file tests). The experiment is
-// posted twice so both the fresh and the cached response are
-// compared; the second must be served from cache.
+// registry entry's own run under the same options — the end-to-end
+// check that the service runs the inputs it is sent and its cache
+// serves exactly the bytes the engine produces (the local path is
+// itself pinned by the golden-file tests). The options travel in
+// their one wire form, overlays included. The experiment is posted
+// twice so both the fresh and the cached response are compared; the
+// second must be served from cache.
 func serveCheck(baseURL, id string, opts experiments.Options) error {
-	name := strings.TrimPrefix(id, "scn-")
-	if name == id {
+	name, ok := strings.CutPrefix(id, "scn-")
+	if !ok {
 		return fmt.Errorf("serve-check wants a scenario-backed experiment id (scn-<name>), got %q", id)
 	}
-	spec, err := scenario.ByName(name)
-	if err != nil {
-		return err
-	}
-
-	// Local reference: the same options mapping the scn-* registry
-	// entries use.
-	sopts := scenario.Options{
-		Warmup: opts.Warmup, Measure: opts.Measure, Seed: opts.Seed, Shards: opts.Shards,
-		Thermal: opts.Thermal, Cooling: opts.Cooling, Faults: opts.Faults,
-	}
-	res, err := scenario.Run(spec, sopts)
-	if err != nil {
-		return err
-	}
-	local, err := res.Report().JSON()
-	if err != nil {
-		return err
-	}
-
-	us := func(d sim.Duration) float64 { return float64(d) / float64(sim.Microsecond) }
-	wire := map[string]any{
-		"name":   name,
-		"format": "json",
-		"options": map[string]any{
-			"warmup_us":  us(opts.Warmup),
-			"measure_us": us(opts.Measure),
-			"seed":       opts.Seed,
-			"thermal":    opts.Thermal,
-			"cooling":    opts.Cooling,
-		},
-	}
-	if opts.Faults.Active() {
-		wire["options"].(map[string]any)["faults"] = map[string]any{
-			"plan":        opts.Faults.Plan,
-			"max_retries": opts.Faults.MaxRetries,
-			"backoff_us":  us(opts.Faults.Backoff),
-			"deadline_us": us(opts.Faults.Deadline),
+	var run func(experiments.Options) (experiments.Report, error)
+	for _, e := range experiments.AllWithExtensions() {
+		if e.ID == id {
+			run = e.Run
 		}
 	}
-	body, err := json.Marshal(wire)
+	if run == nil {
+		return fmt.Errorf("unknown experiment id %q", id)
+	}
+	rep, err := run(opts)
+	if err != nil {
+		return err
+	}
+	local, err := rep.JSON()
+	if err != nil {
+		return err
+	}
+	body, err := json.Marshal(struct {
+		Name    string               `json:"name"`
+		Format  string               `json:"format"`
+		Options scenario.WireOptions `json:"options"`
+	}{name, "json", opts.Options.Wire()})
 	if err != nil {
 		return err
 	}

@@ -100,6 +100,10 @@ func fail(err error) {
 }
 
 func main() {
+	var so scenario.Options
+	so.BindFlags(flag.CommandLine)
+	flag.Uint64Var(&so.Seed, "seed", 1, "random seed")
+	flag.BoolVar(&so.Tail, "tail", true, "append the tail-latency percentile grid (p50/p90/p99/p99.9) to scenario reports")
 	typ := flag.String("type", "ro", "request mix: ro, wo or rw")
 	size := flag.Int("size", 128, "request payload bytes (16..128, multiple of 16)")
 	patName := flag.String("pattern", "full", "access pattern (figure label or 'full')")
@@ -107,23 +111,14 @@ func main() {
 	ports := flag.Int("ports", 9, "active GUPS ports (1-9)")
 	measureUs := flag.Int("measure-us", 800, "measurement window, simulated microseconds")
 	warmupUs := flag.Int("warmup-us", 150, "warmup window, simulated microseconds")
-	seed := flag.Uint64("seed", 1, "random seed")
 	format := flag.String("format", "", "structured output: text, csv or json (default: classic summary)")
 	insights := flag.Bool("insights", false, "print the paper's design insights and exit")
 	scenarioName := flag.String("scenario", "", "run a declarative workload scenario by name (see -scenario-list)")
 	scenarioList := flag.Bool("scenario-list", false, "list the scenario library and exit")
 	backendName := flag.String("backend", "", "re-target -scenario onto a memory backend: hmc, ddr4 or chain")
-	tail := flag.Bool("tail", true, "append the tail-latency percentile grid (p50/p90/p99/p99.9) to scenario reports")
-	thermal := flag.Bool("thermal", false, "close the thermal/power feedback loop on scenario runs: live RC temperatures throttle the backend")
-	coolingName := flag.String("cooling", "", "Table III cooling environment for -thermal: Cfg1..Cfg4 (default Cfg2)")
-	shards := flag.Int("shards", 1, "worker goroutines for sharded scenarios (Spec.Groups > 1); results are identical at every value")
-	faults := flag.String("faults", "", "inject faults into scenario runs: a fault plan like \"rate=0.01,fail=2@300us,repair=2@500us\" (see internal/fault)")
-	faultRetries := flag.Int("fault-retries", 0, "retry errored scenario requests up to N times with exponential backoff")
-	faultBackoffUs := flag.Float64("fault-backoff-us", 0, "base retry backoff in simulated microseconds (0 = the backend's latency floor)")
-	faultDeadlineUs := flag.Float64("fault-deadline-us", 0, "abandon scenario requests older than this many simulated microseconds (0 = never)")
-	traffic := flag.String("traffic", "", "overlay a traffic model on every scenario tenant: \"open:R\", \"phases:R@D,...\" (~R@D ramps), \"burst:BR/IR@BD/ID\" or \"diurnal:LO..HI@PERIOD\" (rates MRPS/port, durations like 40us)")
-	sloNs := flag.Float64("slo-ns", 0, "default per-tenant latency SLO target in nanoseconds; adds the QoS/SLO grid to scenario reports")
 	flag.Parse()
+	so.Warmup = sim.Duration(*warmupUs) * sim.Microsecond
+	so.Measure = sim.Duration(*measureUs) * sim.Microsecond
 
 	if *insights {
 		for _, in := range core.Insights() {
@@ -139,23 +134,13 @@ func main() {
 		return
 	}
 
-	if *backendName != "" && *scenarioName == "" {
-		fail(fmt.Errorf("-backend re-targets a scenario; combine it with -scenario"))
-	}
-	if (*thermal || *coolingName != "") && *scenarioName == "" {
-		fail(fmt.Errorf("-thermal/-cooling close the feedback loop on a scenario; combine them with -scenario"))
-	}
-	faultCfg := scenario.Faults{
-		Plan:       *faults,
-		MaxRetries: *faultRetries,
-		Backoff:    sim.Duration(*faultBackoffUs * float64(sim.Microsecond)),
-		Deadline:   sim.Duration(*faultDeadlineUs * float64(sim.Microsecond)),
-	}
-	if faultCfg.Active() && *scenarioName == "" {
-		fail(fmt.Errorf("-faults/-fault-* inject into a scenario; combine them with -scenario"))
-	}
-	if (*traffic != "" || *sloNs != 0) && *scenarioName == "" {
-		fail(fmt.Errorf("-traffic/-slo-ns overlay a scenario; combine them with -scenario"))
+	if *scenarioName == "" {
+		if *backendName != "" {
+			fail(fmt.Errorf("-backend re-targets a scenario; combine it with -scenario"))
+		}
+		if so.Thermal || so.Faults.Active() || so.Traffic != "" || so.SLONs != 0 {
+			fail(fmt.Errorf("-thermal, -cooling, -faults, -fault-*, -traffic and -slo-ns overlay a scenario; combine them with -scenario"))
+		}
 	}
 
 	if *scenarioName != "" {
@@ -174,18 +159,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		res, err := scenario.Run(spec, scenario.Options{
-			Warmup:  sim.Duration(*warmupUs) * sim.Microsecond,
-			Measure: sim.Duration(*measureUs) * sim.Microsecond,
-			Seed:    *seed,
-			Tail:    *tail,
-			Thermal: *thermal || *coolingName != "",
-			Cooling: *coolingName,
-			Shards:  *shards,
-			Faults:  faultCfg,
-			Traffic: *traffic,
-			SLONs:   *sloNs,
-		})
+		res, err := scenario.Run(spec, so)
 		if err != nil {
 			fail(err)
 		}
@@ -225,9 +199,7 @@ func main() {
 	w.Ports = *ports
 
 	opts := experiments.Default()
-	opts.Measure = sim.Duration(*measureUs) * sim.Microsecond
-	opts.Warmup = sim.Duration(*warmupUs) * sim.Microsecond
-	opts.Seed = *seed
+	opts.Warmup, opts.Measure, opts.Seed = so.Warmup, so.Measure, so.Seed
 
 	// Resolve the output sink before spending time simulating.
 	var sink runner.Sink

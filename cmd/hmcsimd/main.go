@@ -17,6 +17,10 @@
 //	GET  /v1/jobs/{id}/events  server-sent progress events
 //	DELETE /v1/jobs/{id}       cancel
 //
+// A request's "options" object is scenario.WireOptions, the JSON form
+// of scenario.Options. Inputs scenario.Run would reject get 400
+// before anything simulates.
+//
 // SIGTERM/SIGINT drain gracefully: intake closes, running jobs are
 // canceled through the same context plumbing every sweep honors, and
 // the process exits 0 once in-flight handlers finish.

@@ -94,48 +94,6 @@ func (s *server) handler() http.Handler {
 
 // ---- request/response shapes ----
 
-// faultOptions mirrors scenario.Faults with wire-friendly units.
-type faultOptions struct {
-	Plan       string  `json:"plan,omitempty"`
-	MaxRetries int     `json:"max_retries,omitempty"`
-	BackoffUs  float64 `json:"backoff_us,omitempty"`
-	DeadlineUs float64 `json:"deadline_us,omitempty"`
-}
-
-// runOptions mirrors scenario.Options with wire-friendly units.
-// Omitted windows select the publication-fidelity defaults.
-type runOptions struct {
-	WarmupUs  float64       `json:"warmup_us,omitempty"`
-	MeasureUs float64       `json:"measure_us,omitempty"`
-	Seed      uint64        `json:"seed,omitempty"`
-	Tail      bool          `json:"tail,omitempty"`
-	Thermal   bool          `json:"thermal,omitempty"`
-	Cooling   string        `json:"cooling,omitempty"`
-	Shards    int           `json:"shards,omitempty"`
-	Faults    *faultOptions `json:"faults,omitempty"`
-}
-
-func (o runOptions) scenario() scenario.Options {
-	out := scenario.Options{
-		Warmup:  sim.Duration(o.WarmupUs * float64(sim.Microsecond)),
-		Measure: sim.Duration(o.MeasureUs * float64(sim.Microsecond)),
-		Seed:    o.Seed,
-		Tail:    o.Tail,
-		Thermal: o.Thermal || o.Cooling != "",
-		Cooling: o.Cooling,
-		Shards:  o.Shards,
-	}
-	if o.Faults != nil {
-		out.Faults = scenario.Faults{
-			Plan:       o.Faults.Plan,
-			MaxRetries: o.Faults.MaxRetries,
-			Backoff:    sim.Duration(o.Faults.BackoffUs * float64(sim.Microsecond)),
-			Deadline:   sim.Duration(o.Faults.DeadlineUs * float64(sim.Microsecond)),
-		}
-	}
-	return out
-}
-
 // runRequest names a registry experiment or carries an inline spec.
 type runRequest struct {
 	// Name selects a library scenario (see GET /v1/scenarios).
@@ -143,8 +101,9 @@ type runRequest struct {
 	// Backend optionally re-targets a named scenario (hmc/ddr4/chain).
 	Backend string `json:"backend,omitempty"`
 	// Spec is an inline declarative scenario; exclusive with Name.
-	Spec    *scenario.Spec `json:"spec,omitempty"`
-	Options runOptions     `json:"options"`
+	Spec *scenario.Spec `json:"spec,omitempty"`
+	// Options is the run options' wire form (scenario.WireOptions).
+	Options scenario.WireOptions `json:"options"`
 	// Format selects the response rendering: json (default, the
 	// cached canonical bytes), text or csv (rendered from them).
 	Format string `json:"format,omitempty"`
@@ -172,11 +131,7 @@ func (rr runRequest) resolve() (scenario.Spec, scenario.Options, error) {
 	default:
 		return spec, scenario.Options{}, fmt.Errorf("request needs a scenario name or an inline spec")
 	}
-	o := rr.Options.scenario()
-	if err := spec.Validate(); err != nil {
-		return spec, o, err
-	}
-	return spec, o, nil
+	return spec, rr.Options.Options(), nil
 }
 
 // sweepRequest expands a base request along one or more axes into
@@ -193,7 +148,9 @@ type sweepAxes struct {
 	// Seeds varies Options.Seed.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// RatesMRPS re-injects every tenant open-loop at each rate (the
-	// paper's load–latency axis).
+	// paper's load–latency axis) through the traffic overlay
+	// "open:R", replacing any base overlay; each tenant keeps its
+	// Outstanding window.
 	RatesMRPS []float64 `json:"rates_mrps,omitempty"`
 	// MeasuresUs varies the measurement window (fidelity ladder).
 	MeasuresUs []float64 `json:"measures_us,omitempty"`
@@ -206,7 +163,7 @@ type sweepCell struct {
 }
 
 func (sr sweepRequest) cells() ([]sweepCell, error) {
-	base, opts, err := sr.resolve()
+	spec, opts, err := sr.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -224,21 +181,18 @@ func (sr sweepRequest) cells() ([]sweepCell, error) {
 	for _, seed := range seeds {
 		for ri := 0; ri < max(1, len(rates)); ri++ {
 			for mi := 0; mi < max(1, len(measures)); mi++ {
-				spec, o := base, opts
+				o := opts
 				o.Seed = seed
 				label := fmt.Sprintf("seed=%d", seed)
 				if len(rates) > 0 {
-					spec.Tenants = append([]scenario.Tenant(nil), base.Tenants...)
-					for ti := range spec.Tenants {
-						spec.Tenants[ti].Inject = scenario.Injection{Mode: "open", RateMRPS: rates[ri]}
-					}
+					o.Traffic = fmt.Sprintf("open:%g", rates[ri])
 					label += fmt.Sprintf(",rate=%g", rates[ri])
 				}
 				if len(measures) > 0 {
 					o.Measure = sim.Duration(measures[mi] * float64(sim.Microsecond))
 					label += fmt.Sprintf(",measure_us=%g", measures[mi])
 				}
-				if err := spec.Validate(); err != nil {
+				if _, _, err := scenario.Prepare(spec, o); err != nil {
 					return nil, fmt.Errorf("cell %s: %w", label, err)
 				}
 				cells = append(cells, sweepCell{Label: label, Spec: spec, Opts: o})
@@ -369,7 +323,12 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key := simcache.KeyOf(spec, opts)
 	val, src, ok := s.cache.Lookup(key)
 	if !ok {
-		// Cold: this may simulate, so it needs an admission slot.
+		// Cold: reject invalid inputs (they are never cached, so a
+		// hit needs no check), then simulate under an admission slot.
+		if _, _, err := scenario.Prepare(spec, opts); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		if !s.admit() {
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusTooManyRequests, errors.New("simulation capacity exhausted; retry or use /v1/jobs"))

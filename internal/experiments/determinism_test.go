@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"hmcsim/internal/scenario"
 	"hmcsim/internal/sim"
 )
 
@@ -10,9 +11,7 @@ import (
 // is workers-independence, not measurement fidelity.
 func fastOpts(workers int) Options {
 	return Options{
-		Warmup:  10 * sim.Microsecond,
-		Measure: 30 * sim.Microsecond,
-		Seed:    7,
+		Options: scenario.Options{Warmup: 10 * sim.Microsecond, Measure: 30 * sim.Microsecond, Seed: 7},
 		Workers: workers,
 	}
 }

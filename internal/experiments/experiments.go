@@ -20,46 +20,20 @@ import (
 )
 
 // Options tune experiment fidelity: longer measurement windows tighten
-// bandwidth estimates at linear cost in wall time.
+// bandwidth estimates at linear cost in wall time. The embedded
+// scenario.Options carries the windows, the seed and the run overlays
+// (shards, thermal, cooling, faults, traffic, SLO target): the
+// paper's figures read only the windows and the seed, while the
+// scenario-backed experiments (the scn-* library, the cross-backend
+// matrix and the load-latency sweeps) pass it to scenario.Run as is.
+// The families that script an overlay of their own replace it:
+// ext-thermal-* always closes the loop, ext-fault-* always injects,
+// ext-slo-* drops the traffic overlay, and the sharded library drops
+// the thermal opt-in.
 type Options struct {
-	// Warmup is discarded simulated time before measurement.
-	Warmup sim.Duration
-	// Measure is the measured simulated window per run.
-	Measure sim.Duration
-	// Seed perturbs all random address streams.
-	Seed uint64
+	scenario.Options
 	// Workers bounds concurrent independent simulations (0 = NumCPU).
 	Workers int
-	// Shards is the PDES worker count for sharded scenario specs
-	// (scenario.Spec.Groups > 1): how many goroutines drive one
-	// simulation's shard mesh. Results are byte-identical at every
-	// value; 0 or 1 runs each simulation sequentially.
-	Shards int
-	// Thermal closes the thermal/power feedback loop on the
-	// scenario-backed experiments (the scn-* library, the cross-backend
-	// matrix and the load-latency sweeps): live RC temperatures
-	// throttle the backends while they run. The sharded library is
-	// single-engine-excluded and ignores the opt-in; the ext-thermal-*
-	// family is always closed-loop regardless.
-	Thermal bool
-	// Cooling names the Table III environment for Thermal
-	// ("Cfg1".."Cfg4", default Cfg2).
-	Cooling string
-	// Faults overlays fault injection and client resilience on the
-	// scenario-backed experiments (field-by-field over each spec's
-	// own Faults; see scenario.Faults). Single-engine specs only —
-	// the sharded library rejects it; the ext-fault-* family always
-	// injects regardless.
-	Faults scenario.Faults
-	// Traffic overlays a traffic model on every tenant of the
-	// scenario-backed experiments (see scenario.Options.Traffic).
-	// The ext-slo-* family scripts its own phase ladders and ignores
-	// the overlay.
-	Traffic string
-	// SLONs sets a default per-tenant latency SLO target in
-	// nanoseconds on the scenario-backed experiments (see
-	// scenario.Options.SLONs).
-	SLONs float64
 	// Context cancels in-flight sweeps when done (nil = background).
 	Context context.Context
 	// Progress, when non-nil, is called after each simulation cell of
@@ -69,12 +43,12 @@ type Options struct {
 
 // Default returns publication-fidelity options.
 func Default() Options {
-	return Options{Warmup: 150 * sim.Microsecond, Measure: 800 * sim.Microsecond, Seed: 1}
+	return Options{Options: scenario.Options{Warmup: 150 * sim.Microsecond, Measure: 800 * sim.Microsecond, Seed: 1}}
 }
 
 // Quick returns fast options for tests and smoke runs.
 func Quick() Options {
-	return Options{Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond, Seed: 1}
+	return Options{Options: scenario.Options{Warmup: 30 * sim.Microsecond, Measure: 100 * sim.Microsecond, Seed: 1}}
 }
 
 func (o Options) context() context.Context {
@@ -87,11 +61,12 @@ func (o Options) context() context.Context {
 // parallelMap evaluates f(0..n-1) across the runner's worker pool,
 // preserving index order in the returned slice. f must be safe to run
 // concurrently with other indices (each cell owns its own engine).
-// The only error source is cancellation of Options.Context.
-func parallelMap[T any](o Options, n int, f func(i int) T) ([]T, error) {
+// The first cell error, or cancellation of Options.Context, fails the
+// whole map.
+func parallelMap[T any](o Options, n int, f func(i int) (T, error)) ([]T, error) {
 	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
 	return runner.Map(o.context(), cfg, n, func(_ context.Context, i int) (T, error) {
-		return f(i), nil
+		return f(i)
 	})
 }
 

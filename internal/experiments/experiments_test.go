@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -67,7 +68,7 @@ func TestGridCSVEscaping(t *testing.T) {
 func TestParallelMapOrder(t *testing.T) {
 	o := Quick()
 	o.Workers = 4
-	got, err := parallelMap(o, 100, func(i int) int { return i * i })
+	got, err := parallelMap(o, 100, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,21 @@ func TestParallelMapOrder(t *testing.T) {
 	}
 	// Serial path.
 	o.Workers = 1
-	got, err = parallelMap(o, 5, func(i int) int { return i })
+	got, err = parallelMap(o, 5, func(i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 5 || got[4] != 4 {
 		t.Fatal("serial parallelMap broken")
 	}
-	if out, err := parallelMap(o, 0, func(i int) int { return i }); err != nil || len(out) != 0 {
+	if out, err := parallelMap(o, 0, func(i int) (int, error) { return i, nil }); err != nil || len(out) != 0 {
 		t.Fatal("empty map broken")
+	}
+	// A cell error fails the map.
+	boom := errors.New("boom")
+	if _, err := parallelMap(o, 5, func(i int) (int, error) {
+		if i == 3 {
+			return 0, boom
+		}
+		return i, nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("cell error: got %v, want %v", err, boom)
 	}
 }

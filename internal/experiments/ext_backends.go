@@ -19,7 +19,7 @@ func Backends() []Experiment {
 			ID:    "scn-" + spec.Name,
 			Title: "Scenario: " + spec.Description,
 			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, scenarioOptions(o))
+				res, err := scenario.Run(spec, o.Options)
 				if err != nil {
 					return Report{}, err
 				}
@@ -85,12 +85,12 @@ func ExtBackends(o Options) (*ExtBackendsData, error) {
 		Backends: []string{"hmc", "ddr4", "chain"},
 	}
 	n := len(d.Shapes) * len(d.Backends)
-	cells, err := parallelMap(o, n, func(i int) backendCell {
+	cells, err := parallelMap(o, n, func(i int) (backendCell, error) {
 		shape := d.Shapes[i/len(d.Backends)]
 		backend := d.Backends[i%len(d.Backends)]
-		res, err := scenario.Run(backendSpec(shape, backend), scenarioOptions(o))
+		res, err := scenario.Run(backendSpec(shape, backend), o.Options)
 		if err != nil {
-			panic(err)
+			return backendCell{}, err
 		}
 		c := backendCell{
 			shape: shape, backend: backend,
@@ -102,7 +102,7 @@ func ExtBackends(o Options) (*ExtBackendsData, error) {
 		if c.latN > 0 {
 			c.latNs = res.Total.ReadLatencyNs.Mean()
 		}
-		return c
+		return c, nil
 	})
 	if err != nil {
 		return nil, err

@@ -35,18 +35,18 @@ func ExtChain(o Options) (*ExtChainData, error) {
 		bw      float64
 		perCube []float64
 	}
-	res, err := parallelMap(o, len(d.CubeCounts), func(i int) out {
+	res, err := parallelMap(o, len(d.CubeCounts), func(i int) (out, error) {
 		eng := sim.NewEngine()
 		nw, err := chain.NewNetwork(eng, d.CubeCounts[i], chain.Chain, chain.DefaultParams())
 		if err != nil {
-			panic(err)
+			return out{}, err
 		}
 		load := chain.RunUniformLoad(nw, 64, 128, duration, o.Seed)
 		return out{
 			cap:     float64(nw.CapacityBytes()) / (1 << 30),
 			bw:      load.DataGBps,
 			perCube: load.PerCubeLatencyNs,
-		}
+		}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 	"hmcsim/internal/sim"
 )
@@ -103,11 +101,11 @@ func faultSpec(c faultSweepConfig) scenario.Spec {
 	return s
 }
 
-// faultOptions arms injection and tail collection on top of the
+// faultRunOptions arms injection and tail collection on top of the
 // experiment's fidelity windows, replacing any caller overlay: the
 // family is always injected, like ext-thermal is always closed-loop.
-func faultOptions(o Options, fl scenario.Faults) scenario.Options {
-	so := scenarioOptions(o)
+func faultRunOptions(o Options, fl scenario.Faults) scenario.Options {
+	so := o.Options
 	so.Faults = fl
 	so.Tail = true
 	return so
@@ -161,10 +159,9 @@ type ExtFaultSweepData struct {
 // run seed, so the grid is deterministic in the worker count.
 func ExtFaultSweep(o Options, c faultSweepConfig) (*ExtFaultSweepData, error) {
 	d := &ExtFaultSweepData{Config: c}
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	pts, err := runner.Map(o.context(), cfg, len(faultRungs), func(_ context.Context, i int) (faultSweepPoint, error) {
+	pts, err := parallelMap(o, len(faultRungs), func(i int) (faultSweepPoint, error) {
 		rung := faultRungs[i]
-		res, err := scenario.Run(faultSpec(c), faultOptions(o, faultResilience(rung.plan)))
+		res, err := scenario.Run(faultSpec(c), faultRunOptions(o, faultResilience(rung.plan)))
 		if err != nil {
 			return faultSweepPoint{}, err
 		}
@@ -290,10 +287,13 @@ func ExtFaultChain(o Options) (*ExtFaultChainData, error) {
 		Backoff:    sim.Microsecond,
 		Deadline:   20 * sim.Microsecond,
 	}
-	cums, err := parallelMap(o, outageSlices, func(i int) faultSlice {
+	cums, err := parallelMap(o, outageSlices, func(i int) (faultSlice, error) {
 		po := o
 		po.Measure = o.Measure * sim.Duration(i+1) / outageSlices
-		res := scenario.MustRun(faultSpec(cfg), faultOptions(po, fl))
+		res, err := scenario.Run(faultSpec(cfg), faultRunOptions(po, fl))
+		if err != nil {
+			return faultSlice{}, err
+		}
 		tot := res.Total
 		return faultSlice{
 			Index:      i + 1,
@@ -301,7 +301,7 @@ func ExtFaultChain(o Options) (*ExtFaultChainData, error) {
 			cumErrors:  tot.Errors,
 			cumRetries: tot.Retries,
 			cumFailed:  tot.Failed,
-		}
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -322,17 +322,20 @@ func ExtFaultChain(o Options) (*ExtFaultChainData, error) {
 		d.Slices = append(d.Slices, s)
 	}
 
-	topos, err := parallelMap(o, 2, func(i int) faultTopoResult {
+	topos, err := parallelMap(o, 2, func(i int) (faultTopoResult, error) {
 		topo := []string{"chain", "ring"}[i]
 		spec := faultSpec(cfg)
 		spec.Name = "fl-" + topo + "-outage"
 		spec.Topology = topo
-		res := scenario.MustRun(spec, faultOptions(o, fl))
+		res, err := scenario.Run(spec, faultRunOptions(o, fl))
+		if err != nil {
+			return faultTopoResult{}, err
+		}
 		return faultTopoResult{
 			Topology: topo,
 			Point:    summarizeFaults(res),
 			Reads:    res.Total.Reads,
-		}
+		}, nil
 	})
 	if err != nil {
 		return nil, err

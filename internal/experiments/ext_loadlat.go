@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 )
 
@@ -101,10 +99,9 @@ func loadLatSpec(c loadLatConfig, perPortMRPS float64) scenario.Spec {
 // in the worker count.
 func ExtLoadLat(o Options, c loadLatConfig) (*ExtLoadLatData, error) {
 	d := &ExtLoadLatData{Config: c}
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	pts, err := runner.Map(o.context(), cfg, len(c.perPortMRPS), func(_ context.Context, i int) (loadLatPoint, error) {
+	pts, err := parallelMap(o, len(c.perPortMRPS), func(i int) (loadLatPoint, error) {
 		rate := c.perPortMRPS[i]
-		res, err := scenario.Run(loadLatSpec(c, rate), scenarioOptions(o))
+		res, err := scenario.Run(loadLatSpec(c, rate), o.Options)
 		if err != nil {
 			return loadLatPoint{}, err
 		}

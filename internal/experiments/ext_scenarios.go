@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 )
 
@@ -22,7 +20,7 @@ func Scenarios() []Experiment {
 			ID:    "scn-" + spec.Name,
 			Title: "Scenario: " + spec.Description,
 			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, scenarioOptions(o))
+				res, err := scenario.Run(spec, o.Options)
 				if err != nil {
 					return Report{}, err
 				}
@@ -33,24 +31,13 @@ func Scenarios() []Experiment {
 	return out
 }
 
-// scenarioOptions maps experiment options onto the scenario runner.
-func scenarioOptions(o Options) scenario.Options {
-	return scenario.Options{
-		Warmup: o.Warmup, Measure: o.Measure, Seed: o.Seed, Shards: o.Shards,
-		Thermal: o.Thermal, Cooling: o.Cooling, Faults: o.Faults,
-		Traffic: o.Traffic, SLONs: o.SLONs,
-	}
-}
-
 // runScenarioOverview fans every builtin scenario out across the
 // worker pool and tabulates totals.
 func runScenarioOverview(o Options) (Report, error) {
 	specs := scenario.Builtin()
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	results, err := runner.Map(o.context(), cfg, len(specs),
-		func(_ context.Context, i int) (scenario.Result, error) {
-			return scenario.Run(specs[i], scenarioOptions(o))
-		})
+	results, err := parallelMap(o, len(specs), func(i int) (scenario.Result, error) {
+		return scenario.Run(specs[i], o.Options)
+	})
 	if err != nil {
 		return Report{}, err
 	}

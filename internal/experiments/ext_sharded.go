@@ -33,12 +33,12 @@ func ShardedScenarios() []Experiment {
 	return out
 }
 
-// shardedOptions is scenarioOptions minus the thermal opt-in: the
+// shardedOptions is o.Options minus the thermal opt-in: the
 // feedback loop is single-engine (scenario.Run rejects it on meshes),
 // so the partitioned library runs open-loop even when the caller set
 // Options.Thermal for the rest of the registry.
 func shardedOptions(o Options) scenario.Options {
-	so := scenarioOptions(o)
+	so := o.Options
 	so.Thermal, so.Cooling = false, ""
 	return so
 }

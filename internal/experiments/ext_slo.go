@@ -141,14 +141,17 @@ type sloCum struct {
 func ExtSLO(o Options, c sloConfig) (*ExtSLOData, error) {
 	d := &ExtSLOData{Config: c}
 	spec := sloSpec(c, o)
-	so := scenarioOptions(o)
+	so := o.Options
 	// The family scripts its own ladder and classes; a caller overlay
 	// would replace the schedule under the slicing.
 	so.Traffic, so.SLONs = "", 0
-	cums, err := parallelMap(o, sloPhaseCount, func(i int) sloCum {
+	cums, err := parallelMap(o, sloPhaseCount, func(i int) (sloCum, error) {
 		po := so
 		po.Measure = o.Measure * sim.Duration(i+1) / sloPhaseCount
-		res := scenario.MustRun(spec, po)
+		res, err := scenario.Run(spec, po)
+		if err != nil {
+			return sloCum{}, err
+		}
 		cum := sloCum{}
 		for ti, ts := range res.Tenants {
 			cum.met[ti] = ts.SLOMet
@@ -158,7 +161,7 @@ func ExtSLO(o Options, c sloConfig) (*ExtSLOData, error) {
 		if i == sloPhaseCount-1 {
 			cum.final = res.Tenants
 		}
-		return cum
+		return cum, nil
 	})
 	if err != nil {
 		return nil, err
@@ -238,7 +241,7 @@ func TrafficScenarios() []Experiment {
 			ID:    "scn-" + spec.Name,
 			Title: "Scenario: " + spec.Description,
 			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, scenarioOptions(o))
+				res, err := scenario.Run(spec, o.Options)
 				if err != nil {
 					return Report{}, err
 				}

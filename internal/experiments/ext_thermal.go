@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"hmcsim/internal/hmc"
-	"hmcsim/internal/runner"
 	"hmcsim/internal/scenario"
 )
 
@@ -114,7 +112,7 @@ func thermalSweepSpec(c thermalSweepConfig, perPortMRPS float64) scenario.Spec {
 // thermalOptions enables the feedback loop on top of the experiment's
 // fidelity windows.
 func thermalOptions(o Options, cooling string) scenario.Options {
-	so := scenarioOptions(o)
+	so := o.Options
 	so.Thermal = true
 	so.Cooling = cooling
 	return so
@@ -151,8 +149,7 @@ func summarize(res scenario.Result) thermalSweepPoint {
 func ExtThermalSweep(o Options, c thermalSweepConfig) (*ExtThermalSweepData, error) {
 	d := &ExtThermalSweepData{Config: c}
 	n := len(thermalCoolings) * len(c.perPortMRPS)
-	cfg := runner.Config{Workers: o.Workers, Progress: o.Progress}
-	pts, err := runner.Map(o.context(), cfg, n, func(_ context.Context, i int) (thermalSweepPoint, error) {
+	pts, err := parallelMap(o, n, func(i int) (thermalSweepPoint, error) {
 		cooling := thermalCoolings[i/len(c.perPortMRPS)]
 		rate := c.perPortMRPS[i%len(c.perPortMRPS)]
 		res, err := scenario.Run(thermalSweepSpec(c, rate), thermalOptions(o, cooling))
@@ -256,10 +253,13 @@ func placementSpec(offset uint64) scenario.Spec {
 // naive one oscillates through shutdown.
 func ExtThermalPlacement(o Options) (*ExtThermalPlacementData, error) {
 	d := &ExtThermalPlacementData{}
-	cases, err := parallelMap(o, len(placementCases), func(i int) placementResult {
+	cases, err := parallelMap(o, len(placementCases), func(i int) (placementResult, error) {
 		c := placementCases[i]
-		res := scenario.MustRun(placementSpec(c.offset), thermalOptions(o, "Cfg3"))
-		return placementResult{Name: c.name, Res: res, Summary: summarize(res)}
+		res, err := scenario.Run(placementSpec(c.offset), thermalOptions(o, "Cfg3"))
+		if err != nil {
+			return placementResult{}, err
+		}
+		return placementResult{Name: c.name, Res: res, Summary: summarize(res)}, nil
 	})
 	if err != nil {
 		return nil, err

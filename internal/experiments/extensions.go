@@ -61,7 +61,7 @@ func ExtReadRatio(o Options) (*ExtReadRatioData, error) {
 	for r := 0.0; r <= 1.001; r += 0.1 {
 		d.Ratios = append(d.Ratios, r)
 	}
-	bws, err := parallelMap(o, len(d.Ratios), func(i int) float64 {
+	bws, err := parallelMap(o, len(d.Ratios), func(i int) (float64, error) {
 		res := gups.MustRun(gups.Config{
 			Type:         gups.Mixed,
 			ReadFraction: d.Ratios[i],
@@ -70,7 +70,7 @@ func ExtReadRatio(o Options) (*ExtReadRatioData, error) {
 			Measure:      o.Measure,
 			Seed:         o.Seed,
 		})
-		return res.RawGBps
+		return res.RawGBps, nil
 	})
 	if err != nil {
 		return nil, err
@@ -186,7 +186,7 @@ type ExtLinkRateData struct {
 func ExtLinkRate(o Options) (*ExtLinkRateData, error) {
 	d := &ExtLinkRateData{RatesGbps: []float64{10, 12.5, 15}}
 	type out struct{ bw, lat float64 }
-	res, err := parallelMap(o, len(d.RatesGbps), func(i int) out {
+	res, err := parallelMap(o, len(d.RatesGbps), func(i int) (out, error) {
 		p := hmc.DefaultParams()
 		p.Links.LaneGbps = d.RatesGbps[i]
 		r := gups.MustRun(gups.Config{
@@ -197,7 +197,7 @@ func ExtLinkRate(o Options) (*ExtLinkRateData, error) {
 			Measure:   o.Measure,
 			Seed:      o.Seed,
 		})
-		return out{bw: r.RawGBps, lat: r.ReadLatencyNs.Mean()}
+		return out{bw: r.RawGBps, lat: r.ReadLatencyNs.Mean()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -241,7 +241,7 @@ func ExtHMC20(o Options) (*ExtHMC20Data, error) {
 	}
 	gens := []hmc.Generation{hmc.HMC11, hmc.HMC20}
 	n := len(gens) * len(allTypes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		gen := gens[i/len(allTypes)]
 		ty := allTypes[i%len(allTypes)]
 		cfg := gups.Config{
@@ -264,7 +264,7 @@ func ExtHMC20(o Options) (*ExtHMC20Data, error) {
 			cfg.FPGAParams = &fp
 			cfg.Ports = 18
 		}
-		return cell{gen: gen, ty: ty, bw: gups.MustRun(cfg).RawGBps}
+		return cell{gen: gen, ty: ty, bw: gups.MustRun(cfg).RawGBps}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -40,11 +40,11 @@ func Figure6(o Options) (*Figure6Data, error) {
 		bw    float64
 	}
 	n := len(masks) * len(allTypes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		m := masks[i/len(allTypes)]
 		ty := allTypes[i%len(allTypes)]
 		res := runCell(o, ty, 128, m.ZeroMask, gups.Random, 0)
-		return cell{label: m.Label, ty: ty, bw: res.RawGBps}
+		return cell{label: m.Label, ty: ty, bw: res.RawGBps}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -89,11 +89,11 @@ func Figure7(o Options) (*Figure7Data, error) {
 		bw  float64
 	}
 	n := len(pats) * len(allTypes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		p := pats[i/len(allTypes)]
 		ty := allTypes[i%len(allTypes)]
 		res := runCell(o, ty, 128, p.ZeroMask, gups.Random, 0)
-		return cell{pat: p.Name, ty: ty, bw: res.RawGBps}
+		return cell{pat: p.Name, ty: ty, bw: res.RawGBps}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -141,10 +141,10 @@ func Figure8(o Options) (*Figure8Data, error) {
 		res  gups.Result
 	}
 	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		p := pats[i/len(sizes)]
 		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, res: runCell(o, gups.ReadOnly, size, p.ZeroMask, gups.Random, 0)}
+		return cell{pat: p.Name, size: size, res: runCell(o, gups.ReadOnly, size, p.ZeroMask, gups.Random, 0)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -201,12 +201,12 @@ func Figure13(o Options) (*Figure13Data, error) {
 		bw   float64
 	}
 	n := len(pats) * len(modes) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		p := pats[i/(len(modes)*len(sizes))]
 		mode := modes[(i/len(sizes))%len(modes)]
 		size := sizes[i%len(sizes)]
 		res := runCell(o, gups.ReadOnly, size, p.ZeroMask, mode, 0)
-		return cell{pat: p.Name, mode: mode, size: size, bw: res.RawGBps}
+		return cell{pat: p.Name, mode: mode, size: size, bw: res.RawGBps}, nil
 	})
 	if err != nil {
 		return nil, err

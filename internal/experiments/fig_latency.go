@@ -99,14 +99,14 @@ func Figure15(o Options) (*Figure15Data, error) {
 		s       stats.Summary
 	}
 	total := len(sizes) * len(counts)
-	cells, err := parallelMap(o, total, func(i int) cell {
+	cells, err := parallelMap(o, total, func(i int) (cell, error) {
 		size := sizes[i/len(counts)]
 		n := counts[i%len(counts)]
 		res, err := gups.RunStream(gups.StreamConfig{N: n, Size: size, Seed: o.Seed})
 		if err != nil {
-			panic(err)
+			return cell{}, err
 		}
-		return cell{size: size, n: n, s: res.LatencyNs}
+		return cell{size: size, n: n, s: res.LatencyNs}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -165,10 +165,10 @@ func Figure16(o Options) (*Figure16Data, error) {
 		res  gups.Result
 	}
 	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		p := pats[i/len(sizes)]
 		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, res: runCell(o, gups.ReadOnly, size, p.ZeroMask, gups.Random, 0)}
+		return cell{pat: p.Name, size: size, res: runCell(o, gups.ReadOnly, size, p.ZeroMask, gups.Random, 0)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -260,10 +260,10 @@ func Figure17(o Options) (*Figure17Data, error) {
 		pts  []CurvePoint
 	}
 	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		p := pats[i/len(sizes)]
 		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, pts: sweepPorts(o, p.ZeroMask, size)}
+		return cell{pat: p.Name, size: size, pts: sweepPorts(o, p.ZeroMask, size)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -373,10 +373,10 @@ func Figure18(o Options) (*Figure18Data, error) {
 		pts  []CurvePoint
 	}
 	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) cell {
+	cells, err := parallelMap(o, n, func(i int) (cell, error) {
 		p := pats[i/len(sizes)]
 		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, pts: sweepPorts(o, p.ZeroMask, size)}
+		return cell{pat: p.Name, size: size, pts: sweepPorts(o, p.ZeroMask, size)}, nil
 	})
 	if err != nil {
 		return nil, err

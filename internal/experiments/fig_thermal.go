@@ -27,7 +27,7 @@ type ThermalCell struct {
 func thermalSweep(o Options) ([]ThermalCell, error) {
 	pats := workloads.Standard()
 	n := len(pats) * len(allTypes)
-	return parallelMap(o, n, func(i int) ThermalCell {
+	return parallelMap(o, n, func(i int) (ThermalCell, error) {
 		p := pats[i/len(allTypes)]
 		ty := allTypes[i%len(allTypes)]
 		res := runCell(o, ty, 128, p.ZeroMask, gups.Random, 0)
@@ -41,7 +41,7 @@ func thermalSweep(o Options) ([]ThermalCell, error) {
 				WriteMRPS: res.WriteMRPS,
 				PureWrite: ty == gups.WriteOnly,
 			},
-		}
+		}, nil
 	})
 }
 

@@ -139,15 +139,6 @@ func NewController(eng *sim.Engine, dev *hmc.Device, p Params) (*Controller, err
 	return c, nil
 }
 
-// MustController is NewController that panics on error.
-func MustController(eng *sim.Engine, dev *hmc.Device, p Params) *Controller {
-	c, err := NewController(eng, dev, p)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Params returns the controller configuration.
 func (c *Controller) Params() Params { return c.p }
 

@@ -105,13 +105,6 @@ func (p Params) Cycle() sim.Duration {
 // Cycles returns the duration of n fabric cycles.
 func (p Params) Cycles(n int) sim.Duration { return sim.Duration(n) * p.Cycle() }
 
-// TxFixedLatency is the per-request latency of the TX fixed stages
-// (everything except pipeline occupancy and link serialization).
-func (p Params) TxFixedLatency() sim.Duration {
-	return p.Cycles(p.FlitsToParallelCycles + p.ArbiterCycles +
-		p.SeqFlowCRCCycles + p.SerDesConvertCycles)
-}
-
 // RxFixedLatency is the receive-path fixed latency.
 func (p Params) RxFixedLatency() sim.Duration { return p.Cycles(p.RxFixedCycles) }
 

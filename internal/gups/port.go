@@ -253,9 +253,6 @@ func (p *Port) Monitor() Monitor { return p.mon.Snapshot() }
 // ResetMonitor clears measured data (keeps the measuring gate).
 func (p *Port) ResetMonitor() { p.mon.Reset() }
 
-// OutstandingReads reports tags currently in use.
-func (p *Port) OutstandingReads() int { return p.tagsInUse }
-
 // nextOp decides what the arbitration unit would issue next.
 // It returns the address, whether it is a write, and whether the
 // port can issue at all right now.

@@ -68,14 +68,10 @@ type tenantDriver struct {
 	measuring bool
 	mon       gups.Monitor
 
-	onRead func(mem.Result)
-	onWr   func(mem.Result)
-
-	// resilient switches issue() onto the clientOp path: pooled
-	// per-request state carrying bounded retries with exponential
-	// backoff and an end-to-end deadline. Off, the driver issues with
-	// the bare onRead/onWr closures exactly as before.
-	resilient  bool
+	// Client resilience: every request is a pooled clientOp carrying
+	// bounded retries with exponential backoff and an end-to-end
+	// deadline. With no retries and no deadline an error surfaces at
+	// once and no extra event is scheduled.
 	maxRetries int
 	backoff    sim.Duration // base delay, doubled per attempt
 	deadline   sim.Duration // end to end across retries; 0 = none
@@ -88,7 +84,7 @@ type tenantDriver struct {
 	errs, retries, abandoned, failed uint64
 }
 
-// clientOp is one logical request on the resilient path. It is pooled
+// clientOp is one logical request of a tenant driver. It is pooled
 // and shared by up to three pending references — the in-flight
 // completion, a scheduled deadline event and a scheduled backoff
 // event — counted in refs; the op returns to the pool at refs == 0.
@@ -184,17 +180,12 @@ func newTenantDriver(be mem.Backend, port mem.Port, t Tenant, ti int, o Options,
 	if d.rmw {
 		d.rmwPending = sim.NewQueue[uint64](0)
 	}
-	if fl := o.Faults; fl.MaxRetries > 0 || fl.Deadline > 0 {
-		d.resilient = true
-		d.maxRetries = fl.MaxRetries
-		d.backoff = fl.Backoff
-		if d.backoff == 0 {
-			d.backoff = be.MinLatency()
-		}
-		d.deadline = fl.Deadline
+	d.maxRetries = o.Faults.MaxRetries
+	d.backoff = o.Faults.Backoff
+	if d.backoff == 0 {
+		d.backoff = be.MinLatency()
 	}
-	d.onRead = func(r mem.Result) { d.done(r, false) }
-	d.onWr = func(r mem.Result) { d.done(r, true) }
+	d.deadline = o.Faults.Deadline
 	return d, nil
 }
 
@@ -262,15 +253,7 @@ func (d *tenantDriver) issue() {
 		}
 		addr, write := d.nextOp()
 		d.inFlight++
-		if d.resilient {
-			d.submitOp(addr, write)
-		} else {
-			done := d.onRead
-			if write {
-				done = d.onWr
-			}
-			d.port.Submit(mem.Request{Addr: addr, Size: d.size, Write: write}, done)
-		}
+		d.submitOp(addr, write)
 		if d.arrivals != nil {
 			// The absolute schedule: advance from the previous arrival
 			// instant, never from Now() — re-basing here is the pacing
@@ -278,28 +261,6 @@ func (d *tenantDriver) issue() {
 			d.nextIssue = d.arrivals.Next(d.nextIssue)
 		}
 	}
-}
-
-func (d *tenantDriver) done(r mem.Result, write bool) {
-	d.inFlight--
-	if d.measuring {
-		if r.Err {
-			// Errored completions count — on this retry-less path the
-			// first error is also the final one the client saw.
-			d.errs++
-			d.failed++
-		} else {
-			wire := d.wireRead
-			if write {
-				wire = d.wireWrite
-			}
-			d.mon.Record(write, r, wire, uint64(d.size))
-		}
-	}
-	if d.rmw && !write && !r.Err {
-		d.rmwPending.Push(r.Req.Addr)
-	}
-	d.issue()
 }
 
 // newOp draws a pooled clientOp with its closures prebuilt.
@@ -316,7 +277,7 @@ func (d *tenantDriver) newOp() *clientOp {
 	return op
 }
 
-// submitOp issues one logical request on the resilient path.
+// submitOp issues one logical request.
 func (d *tenantDriver) submitOp(addr uint64, write bool) {
 	op := d.newOp()
 	op.addr, op.write = addr, write

@@ -24,13 +24,16 @@ const EngineVersion = "hmcsim-engine-pr10"
 const encodeFormat = 2
 
 // CacheBytes returns the canonical binary encoding of the effective
-// run inputs of Run(spec, o): the defaulted spec, the defaulted
-// options with the spec's Warmup/Measure overlay and Faults merge
-// applied — exactly the normalization Run itself performs — plus the
-// seed. Two (spec, options) pairs that Run would execute identically
-// encode identically (explicit defaults and omitted fields collapse),
-// and every output-affecting input is captured, so equal bytes imply
-// byte-identical results.
+// run inputs of Run(spec, o): the spec and options after exactly the
+// normalization Run itself performs (defaults, the spec's
+// Warmup/Measure overlay, the cooling name and the traffic overlay),
+// plus the seed. Two (spec, options) pairs that Run would execute
+// identically encode identically (explicit defaults and omitted fields
+// collapse, and "-traffic X" on a spec shares a cell with the same
+// spec with X spelled out), and every output-affecting input is
+// captured, so equal bytes imply byte-identical results. An
+// unparsable traffic overlay (Run would error) is encoded raw, so the
+// key stays deterministic.
 //
 // Options.Shards is deliberately excluded: results are byte-identical
 // at every shard worker count (see the determinism tests), so runs
@@ -39,28 +42,7 @@ const encodeFormat = 2
 // alongside these bytes, keeping the encoding reusable for other
 // fingerprinting.
 func CacheBytes(spec Spec, o Options) []byte {
-	spec = spec.withDefaults()
-	o = o.withDefaults()
-	if spec.Warmup != 0 {
-		o.Warmup = spec.Warmup
-	}
-	if spec.Measure != 0 {
-		o.Measure = spec.Measure
-	}
-	// The traffic overlay is absorbed into the tenants exactly as Run
-	// does it, so "-traffic X" on a spec and the same spec with X
-	// spelled out share one cache cell. An unparsable overlay (Run
-	// would error) is encoded raw so the key stays deterministic.
-	if overlaid, err := applyTraffic(spec, o); err == nil {
-		spec = overlaid.withDefaults()
-		o.Traffic, o.SLONs = "", 0
-	}
-	o.Faults = spec.Faults.merged(o.Faults)
-	if o.Thermal {
-		o.Cooling = coolingName(o)
-	} else {
-		o.Cooling = ""
-	}
+	spec, o, _ = effective(spec, o)
 
 	e := encoder{buf: make([]byte, 0, 256)}
 	e.str("hmcsim-spec")
@@ -120,7 +102,7 @@ func CacheBytes(spec Spec, o Options) []byte {
 	e.i64(int64(o.Faults.MaxRetries))
 	e.i64(int64(o.Faults.Backoff))
 	e.i64(int64(o.Faults.Deadline))
-	// Zero except when the traffic overlay failed to parse above.
+	// Zero except when the traffic overlay failed to parse.
 	e.str(o.Traffic)
 	e.f64(o.SLONs)
 	return e.buf

@@ -131,9 +131,6 @@ func TestCacheBytesSensitivity(t *testing.T) {
 	s = base
 	s.Tenants = []Tenant{{Name: "t", Inject: Injection{Mode: "open", RateMRPS: 2}}}
 	mut("Injection", s, o)
-	s = base
-	s.Faults = Faults{Plan: "rate=0.01"}
-	mut("Spec.Faults", s, o)
 	mut("Seed", base, Options{Seed: 2})
 	mut("Measure", base, Options{Seed: 1, Measure: 50 * sim.Microsecond})
 	mut("Tail", base, Options{Seed: 1, Tail: true})

@@ -34,25 +34,7 @@ func (f Faults) Active() bool {
 	return f.Plan != "" || f.MaxRetries != 0 || f.Backoff != 0 || f.Deadline != 0
 }
 
-// merged overlays o (the CLI/options surface) on f (the spec): set
-// fields in o win, mirroring the Warmup/Measure override pattern.
-func (f Faults) merged(o Faults) Faults {
-	if o.Plan != "" {
-		f.Plan = o.Plan
-	}
-	if o.MaxRetries != 0 {
-		f.MaxRetries = o.MaxRetries
-	}
-	if o.Backoff != 0 {
-		f.Backoff = o.Backoff
-	}
-	if o.Deadline != 0 {
-		f.Deadline = o.Deadline
-	}
-	return f
-}
-
-// validate pre-flights the merged fault surface.
+// validate pre-flights the fault surface.
 func (f Faults) validate() error {
 	if _, err := fault.ParsePlan(f.Plan); err != nil {
 		return err

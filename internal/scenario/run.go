@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hmcsim/internal/chain"
+	"hmcsim/internal/cooling"
 	"hmcsim/internal/fpga"
 	"hmcsim/internal/gups"
 	"hmcsim/internal/hmc"
@@ -38,13 +39,13 @@ type Options struct {
 	Thermal bool
 	// Cooling names the Table III cooling environment the feedback
 	// loop simulates ("Cfg1".."Cfg4", default Cfg2). Ignored unless
-	// Thermal is set.
+	// Thermal is set; an unknown name is an error.
 	Cooling string
-	// Faults overlays the spec's fault-injection and resilience
-	// configuration field-by-field (the CLI surface); see Faults.
-	// Single-engine runs only (Groups == 1), like Thermal. The report
-	// gains a resilience grid when active, so recorded formats change
-	// only when a caller opts in (or a backend actually errors).
+	// Faults configures fault injection and client-side resilience;
+	// see Faults. Single-engine runs only (Groups == 1), like Thermal.
+	// The report gains a resilience grid when active, so recorded
+	// formats change only when a caller opts in (or a backend actually
+	// errors).
 	Faults Faults
 	// Traffic overlays a traffic model on every tenant of the spec
 	// (the CLI's -traffic flag): a ParseTraffic string such as
@@ -233,20 +234,11 @@ type Result struct {
 	SLO bool
 }
 
-// Run compiles and executes a scenario on its backend. Every spec runs
-// on a sim.Mesh of Spec.Groups shards (with one group and no lookahead
-// window the mesh is exactly Engine.RunUntil) through one of two
-// runners: runPorts keeps the cycle-accurate gups.Port issue loops for
-// plain hmc runs, and runDrivers puts the backend-generic tenant
-// drivers on everything else.
-func Run(spec Spec, o Options) (Result, error) {
-	spec, err := applyTraffic(spec, o)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
+// effective is the normalization Run executes and CacheBytes keys:
+// defaults, the spec's window override, the cooling name, and the
+// traffic overlay absorbed into the tenants. A traffic overlay that
+// does not parse is left raw in o, beside the error.
+func effective(spec Spec, o Options) (Spec, Options, error) {
 	spec = spec.withDefaults()
 	o = o.withDefaults()
 	if spec.Warmup != 0 {
@@ -255,21 +247,61 @@ func Run(spec Spec, o Options) (Result, error) {
 	if spec.Measure != 0 {
 		o.Measure = spec.Measure
 	}
-	// The effective fault surface: the spec's, with the CLI's set
-	// fields overlaid, carried forward in o for the runners.
-	o.Faults = spec.Faults.merged(o.Faults)
+	if !o.Thermal {
+		o.Cooling = ""
+	} else if o.Cooling == "" {
+		o.Cooling = "Cfg2"
+	}
+	overlaid, err := applyTraffic(spec, o)
+	if err != nil {
+		return spec, o, err
+	}
+	o.Traffic, o.SLONs = "", 0
+	return overlaid.withDefaults(), o, nil
+}
+
+// Prepare returns the spec and options Run executes for (spec, o), or
+// the error Run would return, without simulating. Preparing a prepared
+// pair is the identity, and it keys the same cache cell.
+func Prepare(spec Spec, o Options) (Spec, Options, error) {
+	spec, o, err := effective(spec, o)
+	if err != nil {
+		return Spec{}, Options{}, err
+	}
+	if err := spec.Validate(); err != nil {
+		return Spec{}, Options{}, err
+	}
 	if o.Faults.Active() {
 		if err := o.Faults.validate(); err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", spec.Name, err)
+			return Spec{}, Options{}, fmt.Errorf("scenario %q: %w", spec.Name, err)
+		}
+	}
+	if o.Thermal {
+		if _, err := cooling.ByName(o.Cooling); err != nil {
+			return Spec{}, Options{}, fmt.Errorf("scenario %q: %w", spec.Name, err)
 		}
 	}
 	if spec.Groups > 1 {
 		if o.Thermal {
-			return Result{}, fmt.Errorf("scenario %q: thermal feedback runs on the single-engine path (Groups == 1)", spec.Name)
+			return Spec{}, Options{}, fmt.Errorf("scenario %q: thermal feedback runs on the single-engine path (Groups == 1)", spec.Name)
 		}
 		if o.Faults.Active() {
-			return Result{}, fmt.Errorf("scenario %q: fault injection runs on the single-engine path (Groups == 1)", spec.Name)
+			return Spec{}, Options{}, fmt.Errorf("scenario %q: fault injection runs on the single-engine path (Groups == 1)", spec.Name)
 		}
+	}
+	return spec, o, nil
+}
+
+// Run compiles and executes a scenario on its backend. Every spec runs
+// on a sim.Mesh of Spec.Groups shards (with one group and no lookahead
+// window the mesh is exactly Engine.RunUntil) through one of two
+// runners: runPorts keeps the cycle-accurate gups.Port issue loops for
+// plain hmc runs, and runDrivers puts the backend-generic tenant
+// drivers on everything else.
+func Run(spec Spec, o Options) (Result, error) {
+	spec, o, err := Prepare(spec, o)
+	if err != nil {
+		return Result{}, err
 	}
 	mesh := sim.NewMesh(spec.Groups)
 	if spec.Backend == "hmc" && !o.Thermal && !o.Faults.Active() && !spec.needsGenericDrivers() {

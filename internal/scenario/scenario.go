@@ -183,10 +183,6 @@ type Spec struct {
 	Groups int
 	// Warmup/Measure override the runner's windows when non-zero.
 	Warmup, Measure sim.Duration
-	// Faults scripts fault injection and client-side resilience for
-	// the spec; the zero value injects nothing. Options.Faults
-	// overrides field-by-field (see Faults.merged).
-	Faults Faults
 	// Tenants are the concurrent traffic sources (at least one).
 	Tenants []Tenant
 }

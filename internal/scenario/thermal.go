@@ -21,21 +21,15 @@ type thermalLoop struct {
 	runtime  *thermal.Runtime
 }
 
-func coolingName(o Options) string {
-	if o.Cooling == "" {
-		return "Cfg2"
-	}
-	return o.Cooling
-}
-
 // buildThermalLoop wraps a built backend with the throttle decorator
 // and the feedback runtime. Chains get one thermal zone per cube
 // (per-cube counters, cooling-shadow resistance gradient); single
 // devices get one zone driven by the backend totals. The throttle
 // stretch unit is half the backend's latency floor per level — at
 // the default MaxLevel 8 a fully derated zone runs at ~5x its floor.
+// o is prepared, so o.Cooling names a known environment.
 func buildThermalLoop(o Options, be mem.Backend) (*thermalLoop, error) {
-	cfg, err := cooling.ByName(coolingName(o))
+	cfg, err := cooling.ByName(o.Cooling)
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,6 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // Len reports the current occupancy.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
-// Cap reports the configured capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
 // Peak reports the maximum occupancy observed so far.
 func (q *Queue[T]) Peak() int { return q.peak }
 

@@ -13,10 +13,7 @@
 // results byte-identical at every worker count.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a simulated timestamp measured in integer picoseconds.
 //
@@ -45,10 +42,6 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 
 // Seconds reports t as a float64 number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts t to a time.Duration (nanosecond resolution, rounding
-// toward zero). Useful for human-readable printing.
-func (t Time) Std() time.Duration { return time.Duration(t / Nanosecond) }
 
 // String formats the time with an adaptive unit.
 func (t Time) String() string {

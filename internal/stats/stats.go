@@ -36,16 +36,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN records the same observation k times in O(1): a run of k
-// identical values is a degenerate summary (mean x, zero variance),
-// so folding it in is a single Merge rather than k Welford updates.
-func (s *Summary) AddN(x float64, k uint64) {
-	if k == 0 {
-		return
-	}
-	s.Merge(Summary{n: k, mean: x, min: x, max: x})
-}
-
 // N reports the number of observations.
 func (s Summary) N() uint64 { return s.n }
 

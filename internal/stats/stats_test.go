@@ -45,17 +45,6 @@ func TestSummarySingle(t *testing.T) {
 	}
 }
 
-func TestSummaryAddN(t *testing.T) {
-	var a, b Summary
-	a.AddN(5, 10)
-	for i := 0; i < 10; i++ {
-		b.Add(5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Fatal("AddN disagrees with repeated Add")
-	}
-}
-
 // Property: merging two summaries equals adding all points to one.
 func TestSummaryMergeProperty(t *testing.T) {
 	f := func(xs, ys []float64) bool {
@@ -286,34 +275,5 @@ func TestPercentilesEmptyAndNoMutate(t *testing.T) {
 	Percentiles(v, 10, 90)
 	if v[0] != 9 || v[2] != 5 {
 		t.Fatal("Percentiles sorted the caller's slice")
-	}
-}
-
-// AddN's closed-form merge must agree with k repeated Adds on every
-// statistic, not just the mean, and compose with later observations.
-func TestSummaryAddNClosedForm(t *testing.T) {
-	var a, b Summary
-	a.Add(2)
-	b.Add(2)
-	a.AddN(7.5, 1000)
-	for i := 0; i < 1000; i++ {
-		b.Add(7.5)
-	}
-	a.Add(-4)
-	b.Add(-4)
-	if a.N() != b.N() || a.Min() != b.Min() || a.Max() != b.Max() {
-		t.Fatalf("AddN bookkeeping: %v vs %v", a, b)
-	}
-	if !approx(a.Mean(), b.Mean(), 1e-12) {
-		t.Fatalf("AddN mean %v, repeated Add %v", a.Mean(), b.Mean())
-	}
-	if !approx(a.Variance(), b.Variance(), 1e-9) {
-		t.Fatalf("AddN variance %v, repeated Add %v", a.Variance(), b.Variance())
-	}
-	// k=0 must be a no-op, even on an empty summary.
-	var zero Summary
-	zero.AddN(3, 0)
-	if zero.N() != 0 || zero.Mean() != 0 {
-		t.Fatalf("AddN(x, 0) mutated an empty summary: %v", zero)
 	}
 }

@@ -9,8 +9,10 @@
 #      byte-identical (the content-addressed cache serves the very
 #      bytes the cold run produced).
 #   2. cmd/figures -serve-check: a scn-* experiment replayed through
-#      the server matches the locally computed report byte for byte.
-#   3. Graceful shutdown mid-job: SIGTERM while an async sweep is
+#      the server matches the registry's own report byte for byte,
+#      plain, under a traffic/SLO overlay, and under fault injection.
+#   3. Invalid options (a fault plan Run rejects) get 400, not 500.
+#   4. Graceful shutdown mid-job: SIGTERM while an async sweep is
 #      running drains through the context plumbing and exits 0.
 #
 # Usage: scripts/smoke_hmcsimd.sh
@@ -56,8 +58,16 @@ echo "   ok: $(wc -c < "$work/b1") bytes, miss -> hit"
 
 echo "== 2. figures -serve-check against the server"
 "$work/figures" -quick -serve-check "http://$addr" -id scn-uniform
+"$work/figures" -quick -serve-check "http://$addr" -id scn-uniform -traffic open:2 -slo-ns 1500
+"$work/figures" -quick -serve-check "http://$addr" -id scn-uniform -faults rate=0.01 -fault-retries 2 -fault-backoff-us 1
 
-echo "== 3. graceful shutdown mid-job"
+echo "== 3. invalid options are a 400"
+code=$(curl -sS -o "$work/b3" -w '%{http_code}' -X POST \
+  -d '{"name": "uniform", "options": {"faults": {"plan": "rate=9"}}}' "http://$addr/v1/run")
+[ "$code" = 400 ] || { echo "smoke_hmcsimd: bad fault plan answered $code, want 400"; cat "$work/b3"; exit 1; }
+echo "   ok: $(cat "$work/b3")"
+
+echo "== 4. graceful shutdown mid-job"
 job=$(curl -sS -X POST -d '{
   "name": "uniform",
   "options": {"warmup_us": 30},
