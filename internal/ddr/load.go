@@ -59,6 +59,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 		cfg.Measure = 200 * sim.Microsecond
 	}
 	eng := sim.NewEngine()
+	defer eng.Release()
 	ch, err := NewChannel(eng, cfg.Channel)
 	if err != nil {
 		return LoadResult{}, err

@@ -19,7 +19,15 @@ func fastOpts(workers int) Options {
 // Identical seeds must yield byte-identical experiment output
 // regardless of worker count: results are keyed by cell index and all
 // randomness derives from (seed, cell), never from scheduling order.
+// Nor may the pooled engine storage matter: a ddr4 and a chain
+// experiment run first, so the hmc cells adopt wheels with foreign
+// geometry and capacities, in whatever order the workers draw them.
 func TestWorkerCountDoesNotChangeOutput(t *testing.T) {
+	for _, warm := range []func(Options) (Report, error){runReport(ExtDDR), runReport(ExtChain)} {
+		if _, err := warm(fastOpts(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		id  string
 		run func(Options) (Report, error)

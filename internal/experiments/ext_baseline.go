@@ -72,6 +72,7 @@ func ExtDDR(o Options) (*ExtDDRData, error) {
 	cfg := ddr.DefaultConfig()
 	cfg.ClosedPage = true
 	eng := sim.NewEngine()
+	defer eng.Release()
 	ch, err := ddr.NewChannel(eng, cfg)
 	if err != nil {
 		return nil, err

@@ -37,6 +37,7 @@ func ExtChain(o Options) (*ExtChainData, error) {
 	}
 	res, err := parallelMap(o, len(d.CubeCounts), func(i int) (out, error) {
 		eng := sim.NewEngine()
+		defer eng.Release()
 		nw, err := chain.NewNetwork(eng, d.CubeCounts[i], chain.Chain, chain.DefaultParams())
 		if err != nil {
 			return out{}, err
@@ -61,6 +62,7 @@ func ExtChain(o Options) (*ExtChainData, error) {
 
 	// Fault-tolerance check on a 4-cube ring.
 	eng := sim.NewEngine()
+	defer eng.Release()
 	nw, err := chain.NewNetwork(eng, 4, chain.Ring, chain.DefaultParams())
 	if err != nil {
 		return nil, err

@@ -257,9 +257,10 @@ func Run(cfg Config) (Result, error) {
 
 	var mon Monitor
 	for _, p := range rig.Ports {
-		m := p.Monitor()
-		mon.merge(m)
+		mon.merge(p.mon)
+		p.mon.Release()
 	}
+	rig.Eng.Release()
 	secs := cfg.Measure.Seconds()
 	res := Result{
 		Config:         cfg,

@@ -104,6 +104,39 @@ func TestMonitorReset(t *testing.T) {
 	}
 }
 
+// TestMonitorRelease: a released monitor holds no histogram, a port
+// that hands its monitor over keeps none, and a monitor drawn from the
+// pool afterwards starts empty even when it reuses released storage.
+func TestMonitorRelease(t *testing.T) {
+	rig, err := BuildRig(Config{Ports: 1, Warmup: sim.Microsecond, Measure: sim.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rig.Ports[0]
+	p.mon.measuring = true
+	r := mem.Result{Deliver: 100 * sim.Nanosecond}
+	p.mon.Record(false, r, 144, 128)
+	p.mon.Record(true, r, 160, 128)
+	m := p.TakeMonitor()
+	if p.mon.ReadHistNs != nil || p.mon.WriteHistNs != nil {
+		t.Error("the port kept a histogram it handed over")
+	}
+	if m.Reads != 1 || m.Writes != 1 || m.ReadHistNs.N() != 1 || m.WriteHistNs.N() != 1 {
+		t.Fatalf("TakeMonitor lost measurements: %+v", m)
+	}
+	m.Release()
+	if m.ReadHistNs != nil || m.WriteHistNs != nil {
+		t.Error("a released monitor still holds a histogram")
+	}
+	m.Release() // releasing twice is harmless
+	for i := 0; i < 4; i++ {
+		n := NewMonitor()
+		if n.ReadHistNs.N() != 0 || n.WriteHistNs.N() != 0 || n.ReadHistNs == n.WriteHistNs {
+			t.Fatal("NewMonitor handed out a used or shared histogram")
+		}
+	}
+}
+
 // TestMonitorSnapshotIndependent: Port.Monitor() snapshots clone the
 // histograms, so a held snapshot stays internally consistent
 // (hist.N() == Reads) after the source port resets or keeps

@@ -1,6 +1,8 @@
 package gups
 
 import (
+	"sync"
+
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/stats"
@@ -22,8 +24,9 @@ type Monitor struct {
 	// ReadHistNs / WriteHistNs are the log-bucketed latency
 	// distributions behind the tail percentiles (p50..p99.9; see
 	// stats.LogHist for the error bound). They are nil on a
-	// zero-value Monitor and allocated by NewMonitor; merge allocates
-	// on demand so plain accumulators keep working.
+	// zero-value Monitor and drawn from a pool by NewMonitor; merge
+	// allocates on demand so plain accumulators keep working, and
+	// never keeps a pointer to a source's histogram.
 	ReadHistNs  *stats.LogHist
 	WriteHistNs *stats.LogHist
 
@@ -33,10 +36,34 @@ type Monitor struct {
 	RawBytes  uint64
 }
 
-// NewMonitor returns a monitor with its latency histograms allocated,
-// ready for the zero-allocation record path.
+// histPool recycles monitor histograms: Release puts, NewMonitor
+// takes. A histogram is 15 KB and a sweep builds two per port per cell.
+var histPool = sync.Pool{New: func() any { return new(stats.LogHist) }}
+
+// NewMonitor returns a monitor with empty latency histograms, ready
+// for the zero-allocation record path. The histograms come from a
+// pool; Release returns them once the monitor has been folded.
 func NewMonitor() Monitor {
-	return Monitor{ReadHistNs: &stats.LogHist{}, WriteHistNs: &stats.LogHist{}}
+	return Monitor{ReadHistNs: pooledHist(), WriteHistNs: pooledHist()}
+}
+
+func pooledHist() *stats.LogHist {
+	h := histPool.Get().(*stats.LogHist)
+	h.Reset()
+	return h
+}
+
+// Release returns m's histograms to the pool NewMonitor draws from and
+// clears m's pointers to them. Call it once m's measurements have been
+// folded into an accumulator (merge and stats.MergeHist copy bucket
+// counts, so no result aliases a released histogram).
+func (m *Monitor) Release() {
+	for _, h := range []*stats.LogHist{m.ReadHistNs, m.WriteHistNs} {
+		if h != nil {
+			histPool.Put(h)
+		}
+	}
+	m.ReadHistNs, m.WriteHistNs = nil, nil
 }
 
 // merge folds another monitor's measurements into m.
@@ -242,13 +269,23 @@ func (p *Port) Start() { p.eng.ScheduleHandler(0, p) }
 // Stop halts further request generation.
 func (p *Port) Stop() { p.stopped = true }
 
-// SetMeasuring toggles monitoring (called by the runner after warmup)
-// and returns the monitor state gathered so far.
+// SetMeasuring toggles monitoring; the runners switch it on after
+// warmup.
 func (p *Port) SetMeasuring(on bool) { p.mon.measuring = on }
 
 // Monitor returns a snapshot of the port's measurements (histograms
 // included), safe to hold across further recording or ResetMonitor.
 func (p *Port) Monitor() Monitor { return p.mon.Snapshot() }
+
+// TakeMonitor hands the port's measurements to the caller without
+// copying the histograms, leaving the port a zero Monitor that holds
+// none. Call it once the port's run is over, fold the result, then
+// Release it.
+func (p *Port) TakeMonitor() Monitor {
+	m := p.mon
+	p.mon = Monitor{}
+	return m
+}
 
 // ResetMonitor clears measured data (keeps the measuring gate).
 func (p *Port) ResetMonitor() { p.mon.Reset() }

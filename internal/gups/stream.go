@@ -64,6 +64,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if err != nil {
 		return StreamResult{}, err
 	}
+	defer rig.Eng.Release()
 	var store *hmc.Storage
 	if cfg.Verify {
 		store = hmc.NewStorage(rig.Dev.Geometry())

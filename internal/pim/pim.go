@@ -92,6 +92,7 @@ func runHost(k Kernel) (RunResult, error) {
 // runPIM replays the kernel vault-locally.
 func runPIM(k Kernel) (RunResult, error) {
 	eng := sim.NewEngine()
+	defer eng.Release()
 	amap := hmc.MustAddressMap(hmc.Geometries(hmc.HMC11), hmc.DefaultMaxBlock)
 	dev, err := hmc.NewDevice(eng, hmc.DefaultParams(), amap)
 	if err != nil {

@@ -482,6 +482,7 @@ func runDrivers(spec Spec, o Options, mesh *sim.Mesh, backends []mem.Backend) (R
 		accums[ti].addResilience(d.errs, d.retries, d.abandoned, d.failed)
 		total.add(d.mon)
 		total.addResilience(d.errs, d.retries, d.abandoned, d.failed)
+		d.mon.Release()
 	}
 	res := assemble(spec, o, accums, total)
 	if loop != nil {

@@ -304,6 +304,7 @@ func Run(spec Spec, o Options) (Result, error) {
 		return Result{}, err
 	}
 	mesh := sim.NewMesh(spec.Groups)
+	defer mesh.Release()
 	if spec.Backend == "hmc" && !o.Thermal && !o.Faults.Active() && !spec.needsGenericDrivers() {
 		return runPorts(spec, o, mesh)
 	}
@@ -355,9 +356,10 @@ func runPorts(spec Spec, o Options, mesh *sim.Mesh) (Result, error) {
 	var total monAccum
 	for g, rig := range rigs {
 		for pi, p := range rig.Ports {
-			m := p.Monitor()
+			m := p.TakeMonitor()
 			accums[owners[g][pi]].add(m)
 			total.add(m)
+			m.Release()
 		}
 	}
 	return assemble(spec, o, accums, total), nil

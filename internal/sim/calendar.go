@@ -21,11 +21,13 @@ import (
 //
 // Popping serves the cursor slot through a head index after sorting
 // the slot once by (at, seq) — restoring the exact total order the old
-// binary heap provided. Draining a run of same-timestamp events costs
-// one index bump per event where the heap paid a full O(log n)
-// sift-down each. Events scheduled into the cursor's own slot
-// (zero/short delays landing in the current window) are inserted at
-// their sorted position, so the order stays exact.
+// binary heap provided. Slots of up to sortInlineMax (32) events sort
+// by an inline insertion sort, longer ones by slices.SortFunc.
+// Draining a run of same-timestamp events costs one index bump per
+// event where the heap paid a full O(log n) sift-down each. Events
+// scheduled into the cursor's own slot (zero/short delays landing in
+// the current window) are inserted at their sorted position, so the
+// order stays exact.
 //
 // Invariant: the cursor's window start never exceeds the engine clock.
 // Every push carries `now` and every event satisfies at >= now, so new
@@ -45,7 +47,18 @@ import (
 //
 // At steady state (stable event population and inter-event gap) the
 // queue performs zero allocations: slot slices, the overflow heap and
-// the re-key scratch buffer all retain their capacity.
+// the re-key scratch buffer all retain their capacity, and a ring that
+// shrinks keeps its dropped slots' storage for a later regrowth.
+//
+// That storage also outlives the queue. release empties the queue and
+// hands its storage on as a new, empty queue, which the next engine
+// adopts by copying it in (Engine.Release and NewEngine pass it
+// through a sync.Pool). Only performance state carries over: the slot
+// and buffer capacities, the ring size, the slot width and the two
+// EMAs. Every clock and ordering field — cursor, head, horizon, slotN,
+// the single register, pops, lastRekey and lastAt — starts fresh, and
+// since geometry never affects order, an adopted queue pops exactly
+// what a new one would.
 type calQueue struct {
 	slots [][]event // ring of buckets; len is a power of two
 	mask  int       // len(slots) - 1
@@ -385,9 +398,16 @@ func (q *calQueue) rekey(shift uint, nslots int) {
 
 	q.shift = shift
 	if nslots != len(q.slots) {
-		ns := make([][]event, nslots)
-		copy(ns, q.slots) // carry over the warmed slot capacities
-		q.slots = ns
+		// Resize within the ring's capacity, so a shrink keeps the
+		// dropped slots' warmed storage for a later regrowth; growing
+		// past it carries every slot built so far.
+		if nslots > cap(q.slots) {
+			ns := make([][]event, nslots)
+			copy(ns, q.slots[:cap(q.slots)])
+			q.slots = ns
+		} else {
+			q.slots = q.slots[:nslots]
+		}
 		q.mask = nslots - 1
 	}
 	q.slotN = 0
@@ -421,8 +441,26 @@ func (q *calQueue) rekey(shift uint, nslots int) {
 	q.scratch = q.scratch[:0]
 }
 
+// sortInlineMax is the longest slice sortEvents orders with its
+// inline insertion sort. Slots arrive short and nearly sorted, where
+// the insertion sort beats slices.SortFunc's indirect comparator.
+const sortInlineMax = 32
+
 // sortEvents orders s by the queue's total order (at, then seq).
 func sortEvents(s []event) {
+	if len(s) <= sortInlineMax {
+		for i := 1; i < len(s); i++ {
+			if !s[i].before(s[i-1]) {
+				continue
+			}
+			ev, j := s[i], i
+			for ; j > 0 && ev.before(s[j-1]); j-- {
+				s[j] = s[j-1]
+			}
+			s[j] = ev
+		}
+		return
+	}
 	slices.SortFunc(s, func(a, b event) int {
 		if a.at != b.at {
 			if a.at < b.at {
@@ -435,6 +473,30 @@ func sortEvents(s []event) {
 		}
 		return 1
 	})
+}
+
+// release drops q's pending events and returns a new, empty queue
+// over q's storage, with every Handler cleared, or nil when the wheel
+// was never built. q is left a zero queue that shares nothing with the
+// returned one. Storage beyond each slice's length is already zero:
+// pops and re-keys clear every event they move out of a slot or
+// buffer.
+func (q *calQueue) release() *calQueue {
+	var fresh *calQueue
+	if q.slots != nil {
+		for i, s := range q.slots {
+			clear(s)
+			q.slots[i] = s[:0]
+		}
+		clear(q.overflow)
+		fresh = &calQueue{
+			slots: q.slots, mask: q.mask, shift: q.shift,
+			overflow: q.overflow[:0], scratch: q.scratch[:0],
+			emaGap: q.emaGap, emaDelta: q.emaDelta,
+		}
+	}
+	*q = calQueue{}
+	return fresh
 }
 
 // eventHeap is a value-typed binary min-heap ordered by (at, seq),

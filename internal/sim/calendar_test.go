@@ -71,6 +71,43 @@ func (d *diffDriver) popLE(limit Time) bool {
 
 func (d *diffDriver) pop() bool { return d.popLE(maxTime) }
 
+// release ends the queue's lifetime the way Engine.Release and
+// NewEngine do, without the pool: both queues drop their pending
+// events, the calendar storage (which must hold no Handler) passes to
+// a new queue, and the clock and sequence restart at zero.
+func (d *diffDriver) release() {
+	if fresh := d.q.release(); fresh != nil {
+		if n := storedHandlers(fresh); n != 0 {
+			d.t.Fatalf("released storage holds %d Handlers", n)
+		}
+		d.q = *fresh
+	}
+	if d.q.len() != 0 {
+		d.t.Fatalf("adopted queue holds %d events", d.q.len())
+	}
+	d.ref = refHeap{}
+	d.now, d.seq = 0, 0
+}
+
+// storedHandlers counts the Handlers left anywhere in q's storage, up
+// to each slice's capacity.
+func storedHandlers(q *calQueue) int {
+	n := 0
+	count := func(evs []event) {
+		for _, ev := range evs[:cap(evs)] {
+			if ev.h != nil {
+				n++
+			}
+		}
+	}
+	for _, s := range q.slots[:cap(q.slots)] {
+		count(s)
+	}
+	count(q.overflow)
+	count(q.scratch)
+	return n
+}
+
 func (d *diffDriver) drain() {
 	for d.pop() {
 	}
@@ -124,6 +161,11 @@ func TestQueueDifferentialRandom(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
 				d := &diffDriver{t: t}
 				for op := 0; op < 6000; op++ {
+					if op%2000 == 1999 {
+						// End the queue's lifetime mid-program and go
+						// on over its storage, as the next engine does.
+						d.release()
+					}
 					switch r.Intn(8) {
 					case 0, 1, 2, 3: // push
 						d.push(regime.gen(r))
@@ -179,6 +221,51 @@ func TestQueueDifferentialIdleJumps(t *testing.T) {
 		}
 		// Jump far ahead; the next burst must re-anchor cleanly.
 		d.popLE(d.now + Duration(r.Intn(int(10*Microsecond))))
+	}
+	d.drain()
+}
+
+// TestQueueShrinkKeepsSlotStorage: a re-key that shrinks the ring
+// keeps the dropped slots' storage within the ring's capacity, and a
+// later regrowth gets it back.
+func TestQueueShrinkKeepsSlotStorage(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	d := &diffDriver{t: t}
+	for i := 0; i < 4000; i++ {
+		d.push(Duration(r.Intn(int(2 * Microsecond))))
+	}
+	grown := len(d.q.slots)
+	d.drain()
+	// Short-delta churn drags the delta EMA down until tune shrinks
+	// the ring.
+	for i := 0; i < 4000 && len(d.q.slots) == grown; i++ {
+		d.push(Duration(r.Intn(4)))
+		d.push(Duration(r.Intn(4)))
+		d.pop()
+		d.pop()
+	}
+	if len(d.q.slots) >= grown {
+		t.Fatalf("ring never shrank from %d slots", grown)
+	}
+	if cap(d.q.slots) < grown {
+		t.Fatalf("shrink dropped the ring's storage: cap %d, was %d slots", cap(d.q.slots), grown)
+	}
+	kept := 0
+	for _, s := range d.q.slots[len(d.q.slots):cap(d.q.slots)] {
+		if len(s) != 0 {
+			t.Fatal("a slot beyond the ring holds events")
+		}
+		kept += cap(s)
+	}
+	if kept == 0 {
+		t.Fatal("the dropped slots kept no capacity")
+	}
+	ring := &d.q.slots[0]
+	for i := 0; i < 4000; i++ {
+		d.push(Duration(r.Intn(int(2 * Microsecond))))
+	}
+	if len(d.q.slots) != grown || &d.q.slots[0] != ring {
+		t.Fatalf("regrowth to %d slots (want %d) did not reuse the kept ring", len(d.q.slots), grown)
 	}
 	d.drain()
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Handler is a scheduled event target. Pre-allocated Handler values
 // are the engine's fast path: scheduling one costs no allocation,
@@ -52,6 +55,13 @@ const maxTime = Time(math.MaxInt64)
 // performs zero allocations, and events pop in exact (at, seq) order —
 // identical to the binary-heap kernel this replaced, as the
 // differential tests in this package verify.
+//
+// An engine's queue storage outlives it. Release hands the storage to
+// a package-level pool and NewEngine adopts pooled storage, so a sweep
+// of short simulation cells stops regrowing its wheel from zero per
+// cell. Only the queue's capacities, ring size and tuned geometry
+// carry over; a new engine's clock, sequence and every ordering field
+// start at zero, so events fire exactly as on fresh storage.
 type Engine struct {
 	now       Time
 	seq       uint64
@@ -59,8 +69,31 @@ type Engine struct {
 	processed uint64
 }
 
+// wheelPool carries queue storage from released engines to new ones.
+// Its per-P cache hands each worker goroutine, in the common case, the
+// storage its own previous cell released.
+var wheelPool sync.Pool
+
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	if q, ok := wheelPool.Get().(*calQueue); ok {
+		e.q = *q
+	}
+	return e
+}
+
+// Release ends the engine's run: it drops every pending event and
+// gives the queue's storage, with every Handler cleared, to the pool
+// that NewEngine draws from, so the pool never pins a finished model.
+// The clock and Processed stay as they are, and the engine remains
+// usable with an empty queue that shares nothing with the pool. Call
+// it once whatever the engine ran is finished with it.
+func (e *Engine) Release() {
+	if q := e.q.release(); q != nil {
+		wheelPool.Put(q)
+	}
+}
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -169,5 +170,81 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if got := (2 * Second).Seconds(); got != 2 {
 		t.Errorf("Seconds = %v, want 2", got)
+	}
+}
+
+// TestEngineReleaseHygiene: the storage Release gives away holds no
+// Handler anywhere up to each slice's capacity; the engine keeps its
+// clock, holds nothing pending, and a Handler scheduled afterwards
+// fires at the right instant. A new engine over the released storage
+// starts at zero and runs in order.
+func TestEngineReleaseHygiene(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var h nopHandler
+	e := &Engine{}
+	// A deep backlog grows the ring and re-keys through the scratch
+	// buffer; short-delta churn then shrinks the ring.
+	for i := 0; i < 3000; i++ {
+		e.ScheduleHandler(Duration(r.Intn(int(2*Microsecond))), h)
+	}
+	e.Run()
+	for i := 0; i < 2000; i++ {
+		e.ScheduleHandler(Duration(r.Intn(4)), h)
+		e.ScheduleHandler(Duration(r.Intn(4)), h)
+		e.Step()
+		e.Step()
+	}
+	// Leave far-future events in the overflow heap, and a cursor slot
+	// consumed part way.
+	for i := 0; i < 200; i++ {
+		e.ScheduleHandler(Millisecond+Duration(i), h)
+		e.ScheduleHandler(Duration(r.Intn(2000)), h)
+	}
+	e.RunUntil(e.Now() + 1000)
+	now, processed := e.Now(), e.Processed()
+	if e.Pending() == 0 || len(e.q.overflow) == 0 {
+		t.Fatalf("setup left %d pending, %d in overflow; want both > 0", e.Pending(), len(e.q.overflow))
+	}
+
+	fresh := e.q.release() // what Release hands to the pool
+	if fresh == nil || len(fresh.slots) >= cap(fresh.slots) || cap(fresh.scratch) == 0 {
+		t.Fatal("setup did not shrink the ring and re-key before release")
+	}
+	if n := storedHandlers(fresh); n != 0 {
+		t.Fatalf("released storage holds %d Handlers", n)
+	}
+	if e.Pending() != 0 || e.Now() != now || e.Processed() != processed {
+		t.Fatalf("after release: pending %d, now %v, processed %d; want 0, %v, %d",
+			e.Pending(), e.Now(), e.Processed(), now, processed)
+	}
+	var fired []Time
+	e.Schedule(5, func() { fired = append(fired, e.Now()) })
+	e.Schedule(3, func() { fired = append(fired, e.Now()) })
+	e.Run()
+	if len(fired) != 2 || fired[0] != now+3 || fired[1] != now+5 {
+		t.Fatalf("after release fired at %v, want [%v %v]", fired, now+3, now+5)
+	}
+	if n := storedHandlers(fresh); n != 0 {
+		t.Fatal("the released engine still writes into the storage it gave away")
+	}
+
+	// The public path: Release empties the engine, keeps the clock and
+	// leaves it usable.
+	e.ScheduleHandler(10, h)
+	e.ScheduleHandler(Millisecond, h)
+	e.Release()
+	if e.Pending() != 0 || e.Now() != now+5 {
+		t.Fatalf("after Release: pending %d, now %v", e.Pending(), e.Now())
+	}
+
+	// A new engine over the released storage starts from zero.
+	next := &Engine{q: *fresh}
+	fired = fired[:0]
+	for _, d := range []Duration{7, 2, 7, 1} {
+		next.Schedule(d, func() { fired = append(fired, next.Now()) })
+	}
+	next.Run()
+	if next.Now() != 7 || len(fired) != 4 || fired[0] != 1 || fired[1] != 2 || fired[3] != 7 {
+		t.Fatalf("adopted engine fired at %v, clock %v", fired, next.Now())
 	}
 }

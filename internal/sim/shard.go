@@ -86,6 +86,15 @@ func NewMesh(n int) *Mesh {
 	return m
 }
 
+// Release releases every shard's engine (Engine.Release): pending
+// events are dropped and the queue storage goes back to the pool. Call
+// it when the mesh's run is finished.
+func (m *Mesh) Release() {
+	for _, s := range m.shards {
+		s.eng.Release()
+	}
+}
+
 // SetWindow sets the lookahead window W (must be positive): the
 // barrier spacing and the delivery-grid pitch for cross-shard sends.
 // Call it before Run; the window must not change once events are in
