@@ -1,20 +1,25 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hmcsim/internal/scenario"
 )
 
 // update rewrites the golden files instead of comparing against them:
 //
-//	go test ./internal/experiments -run TestGoldenQuick -update
+//	go test ./internal/experiments -run 'TestGoldenQuick|TestGoldenSum' -update
 //
 // Review the diff before committing — a golden change means the
-// simulated results changed.
+// simulated results changed, so scenario.EngineVersion must move too
+// (TestGoldenSum).
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestGoldenQuick pins the text and CSV outputs of every registered
@@ -38,6 +43,54 @@ func TestGoldenQuick(t *testing.T) {
 			checkGolden(t, e.ID+".csv", rep.CSV())
 		})
 	}
+}
+
+// TestGoldenSum ties the goldens to scenario.EngineVersion:
+// testdata/goldens.sum holds the version and one SHA-256 over every
+// file in testdata/golden, so goldens that move under an unchanged
+// version fail here. After bumping the version, -update re-records the
+// sum; it refuses to record moved goldens under the old version.
+func TestGoldenSum(t *testing.T) {
+	const path = "testdata/goldens.sum"
+	sum, err := goldenSum(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version, pinned, _ := strings.Cut(strings.TrimSpace(string(raw)), " ")
+	switch {
+	case version == scenario.EngineVersion && pinned == sum:
+	case version == scenario.EngineVersion:
+		t.Fatalf("goldens changed under EngineVersion %s: bump scenario.EngineVersion, then re-run with -update", version)
+	case *update:
+		if err := os.WriteFile(path, []byte(scenario.EngineVersion+" "+sum+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("EngineVersion moved from %s to %s: re-run with -update to record the goldens under it", version, scenario.EngineVersion)
+	}
+}
+
+// goldenSum hashes every file in dir, name and contents, in name
+// order.
+func goldenSum(dir string) (string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(h, "%s %d\n", e.Name(), len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func checkGolden(t *testing.T, name, got string) {

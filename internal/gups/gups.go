@@ -13,17 +13,10 @@ import (
 // Config describes one GUPS experiment: a device + controller
 // configuration, a request mix, and a measurement window.
 type Config struct {
-	// Generation selects the device. The zero value is
-	// hmc.DefaultGeneration (HMC10: 512 MB, 8 banks/vault) — a
-	// deliberate, documented default, NOT the paper's AC-510 part
-	// (hmc.HMC11: 4 GB, 16 banks/vault) that the docs and the
-	// address-mask tables assume — set Generation explicitly when the
-	// geometry matters. Kept so every recorded figure output stays
-	// stable; see README "Performance and known quirks". Unknown
-	// generations are rejected by BuildRigPorts with an error.
+	// Generation selects the device; the zero value is the paper's
+	// HMC11. Unknown generations are rejected by BuildRigPorts with an
+	// error.
 	Generation hmc.Generation
-	// MaxBlock selects the address-mapping mode register (default 128 B).
-	MaxBlock hmc.MaxBlockSize
 	// DevParams are the device timing parameters (default DefaultParams).
 	DevParams *hmc.Params
 	// FPGAParams are the controller parameters (default DefaultParams).
@@ -44,10 +37,6 @@ type Config struct {
 	ZeroMask, OneMask uint64
 	// PagePolicy overrides the row policy (default closed page).
 	PagePolicy hmc.PagePolicy
-	// Refresh enables background DRAM refresh.
-	Refresh bool
-	// HotRefresh halves the refresh interval (high-temperature mode).
-	HotRefresh bool
 
 	// Warmup and Measure bound the experiment: statistics cover
 	// [Warmup, Warmup+Measure]. Defaults: 150 us + 1 ms.
@@ -57,23 +46,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	// Generation needs no defaulting arithmetic: its zero value IS
-	// hmc.DefaultGeneration (HMC10), by decree rather than accident —
-	// see the field comment. The explicit assignment documents the
-	// normalization and keeps it correct should the constant ever
-	// move off the zero value. Unknown generations are rejected in
-	// BuildRigPorts (withDefaults cannot return an error).
-	if c.Generation == 0 {
-		c.Generation = hmc.DefaultGeneration
-	}
 	if c.Size == 0 {
 		c.Size = 128
 	}
 	if c.Ports == 0 {
 		c.Ports = 9
-	}
-	if c.MaxBlock == 0 {
-		c.MaxBlock = hmc.DefaultMaxBlock
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 150 * sim.Microsecond
@@ -202,7 +179,7 @@ func BuildRigPortsOn(eng *sim.Engine, cfg Config, pcs []PortConfig) (*Rig, error
 			return nil, err
 		}
 	}
-	amap, err := hmc.NewAddressMap(hmc.Geometries(cfg.Generation), cfg.MaxBlock)
+	amap, err := hmc.NewAddressMap(hmc.Geometries(cfg.Generation), hmc.DefaultMaxBlock)
 	if err != nil {
 		return nil, err
 	}
@@ -241,10 +218,6 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	horizon := cfg.Warmup + cfg.Measure
-	if cfg.Refresh {
-		rig.Dev.StartRefresh(horizon, cfg.HotRefresh)
-	}
 	for _, p := range rig.Ports {
 		p.Start()
 	}
@@ -253,7 +226,7 @@ func Run(cfg Config) (Result, error) {
 		p.ResetMonitor()
 		p.SetMeasuring(true)
 	}
-	rig.Eng.RunUntil(horizon)
+	rig.Eng.RunUntil(cfg.Warmup + cfg.Measure)
 
 	var mon Monitor
 	for _, p := range rig.Ports {

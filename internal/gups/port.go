@@ -98,19 +98,6 @@ func (m *Monitor) Record(write bool, r mem.Result, wireBytes, dataBytes uint64) 
 	m.DataBytes += dataBytes
 }
 
-// Snapshot returns a self-consistent copy: counters and summaries by
-// value, histograms cloned, so the result does not mutate if the
-// source keeps recording or resets afterwards.
-func (m Monitor) Snapshot() Monitor {
-	if m.ReadHistNs != nil {
-		m.ReadHistNs = m.ReadHistNs.Clone()
-	}
-	if m.WriteHistNs != nil {
-		m.WriteHistNs = m.WriteHistNs.Clone()
-	}
-	return m
-}
-
 // Reset clears all measured data in place — counters, summaries and
 // histogram contents — keeping the measuring gate and the histogram
 // storage, so the warmup boundary costs no allocation.
@@ -272,10 +259,6 @@ func (p *Port) Stop() { p.stopped = true }
 // SetMeasuring toggles monitoring; the runners switch it on after
 // warmup.
 func (p *Port) SetMeasuring(on bool) { p.mon.measuring = on }
-
-// Monitor returns a snapshot of the port's measurements (histograms
-// included), safe to hold across further recording or ResetMonitor.
-func (p *Port) Monitor() Monitor { return p.mon.Snapshot() }
 
 // TakeMonitor hands the port's measurements to the caller without
 // copying the histograms, leaving the port a zero Monitor that holds

@@ -43,7 +43,7 @@ func TestScheduleAbsoluteCatchUp(t *testing.T) {
 		p.Start()
 	}
 	rig.Eng.RunUntil(horizon)
-	got := rig.Ports[0].Monitor().Reads
+	got := rig.Ports[0].TakeMonitor().Reads
 	// Two cycles owe 2 x (10us x 20 + 190us x 1) = 780 arrivals; all
 	// but the final in-flight handful must complete. A count near the
 	// service-limited ~500 means the port re-based off Now().

@@ -15,10 +15,6 @@ import (
 // paper uses it for low-load latency (Figure 15) and to confirm data
 // integrity of writes and reads (Section III-B).
 type StreamConfig struct {
-	Generation hmc.Generation
-	MaxBlock   hmc.MaxBlockSize
-	DevParams  *hmc.Params
-
 	// N is the number of read requests in the stream (2..28 in the
 	// paper's Figure 15).
 	N int
@@ -52,15 +48,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if !hmc.ValidPayload(cfg.Size) {
 		return StreamResult{}, fmt.Errorf("gups: invalid request size %d", cfg.Size)
 	}
-	base := Config{
-		Generation: cfg.Generation,
-		MaxBlock:   cfg.MaxBlock,
-		DevParams:  cfg.DevParams,
-		Ports:      1,
-		Size:       cfg.Size,
-		Seed:       cfg.Seed,
-	}
-	rig, err := BuildRig(base)
+	rig, err := BuildRig(Config{Ports: 1, Size: cfg.Size, Seed: cfg.Seed})
 	if err != nil {
 		return StreamResult{}, err
 	}

@@ -8,32 +8,26 @@ package hmc
 
 import "fmt"
 
-// Generation selects an HMC specification revision.
+// Generation selects an HMC specification revision. The zero value is
+// HMC11, the 4 GB part on the AC-510 board the paper measures and the
+// mapping the Section IV-A address masks assume, so a configuration
+// that leaves Generation unset builds the paper's cube and one that
+// names HMC10 gets HMC10.
 type Generation int
 
 const (
+	// HMC11 is the Gen2 device (HMC 1.1): 4 GB, 8 layers.
+	HMC11 Generation = iota
 	// HMC10 is the Gen1 device (HMC 1.0): 0.5 GB, 4 DRAM layers.
-	HMC10 Generation = iota
-	// HMC11 is the Gen2 device (HMC 1.1): 4 GB, 8 layers. This is the
-	// device on the AC-510 board used throughout the paper.
-	HMC11
+	HMC10
 	// HMC20 is the HMC 2.0 specification (hardware never shipped).
 	HMC20
 )
 
-// DefaultGeneration is the generation a zero-valued configuration
-// selects: HMC10. This is deliberate — HMC10 is the Generation zero
-// value, and every recorded figure output was produced with it — but
-// it is NOT the paper's AC-510 part (HMC11: 4 GB, 16 banks/vault)
-// that the docs and address-mask tables assume. Configurations where
-// the geometry matters must set Generation explicitly; see the README
-// "Performance and known quirks" section.
-const DefaultGeneration = HMC10
-
 // KnownGeneration reports whether gen names a published revision
 // (Geometries panics on anything else; config layers validate with
 // this first so a bad spec surfaces as an error, not a panic).
-func KnownGeneration(gen Generation) bool { return gen >= HMC10 && gen <= HMC20 }
+func KnownGeneration(gen Generation) bool { return gen >= HMC11 && gen <= HMC20 }
 
 func (g Generation) String() string {
 	switch g {

@@ -51,28 +51,27 @@ func TestDDRUniformMatchesRunLoad(t *testing.T) {
 	}
 }
 
-// TestHMCGeometrySplit pins a known quirk of the two hmc runners:
-// gups.Port rigs keep gups.Config's default HMC10 cube (512 MB, 8
-// banks/vault), on which the paper figures were recorded, while the
-// tenant-driver runner (thermal, faults, burst, ramps, lifecycle)
-// builds the AC-510's HMC11 part (4 GB, 16 banks/vault). Unifying them
-// moves recorded driver-path outputs, so it waits for one hmc runner.
+// TestHMCGeometrySplit: the two hmc runners do not split on the cube.
+// gups.Port rigs (the paper figures) and the tenant-driver runner
+// (thermal, faults, burst, ramps, lifecycle) both build the paper's
+// AC-510 part, HMC11 (4 GB, 16 banks/vault).
 func TestHMCGeometrySplit(t *testing.T) {
+	want := hmc.Geometries(hmc.HMC11)
 	spec := mustByName(t, "uniform").withDefaults()
 	o := quick().withDefaults()
 	rigs, _, err := buildRigs(spec, o, sim.NewMesh(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rigs[0].Backend.CapacityBytes(), hmc.Geometries(hmc.HMC10).SizeBytes; got != want {
-		t.Errorf("gups.Port runner cube = %d B, want HMC10's %d B", got, want)
+	if got := rigs[0].Dev.Geometry(); got != want {
+		t.Errorf("gups.Port runner cube = %v, want %v", got.Gen, want.Gen)
 	}
 	backends, err := buildBackends(spec, o, sim.NewMesh(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := backends[0].CapacityBytes(), hmc.Geometries(hmc.HMC11).SizeBytes; got != want {
-		t.Errorf("driver runner cube = %d B, want HMC11's %d B", got, want)
+	if got := backends[0].(*mem.HMC).Device().Geometry(); got != want {
+		t.Errorf("driver runner cube = %v, want %v", got.Gen, want.Gen)
 	}
 }
 

@@ -14,8 +14,10 @@ import (
 // goldens); cached results from older versions then miss instead of
 // serving stale numbers. Pure wall-clock work (scheduling, worker
 // counts, allocation) never requires a bump — results are
-// worker-count-independent by construction.
-const EngineVersion = "hmcsim-engine-pr10"
+// worker-count-independent by construction. TestGoldenSum in
+// internal/experiments fails when the goldens move under an unchanged
+// version.
+const EngineVersion = "hmcsim-engine-pr17"
 
 // encodeFormat versions the canonical byte layout itself, so a future
 // field addition changes every key even for specs that leave the new

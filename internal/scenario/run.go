@@ -7,7 +7,6 @@ import (
 	"hmcsim/internal/cooling"
 	"hmcsim/internal/fpga"
 	"hmcsim/internal/gups"
-	"hmcsim/internal/hmc"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/stats"
@@ -417,10 +416,7 @@ func buildRigs(spec Spec, o Options, mesh *sim.Mesh) ([]*gups.Rig, [][]int, erro
 	}
 	rigs := make([]*gups.Rig, spec.Groups)
 	for g := range rigs {
-		// gups.Config's default cube (HMC10), on which every paper
-		// figure was recorded; the driver runner builds HMC11 (README
-		// "Performance and known quirks").
-		rig, err := hmcBoard(mesh.Shard(g).Engine(), spec, o, hmc.DefaultGeneration, len(pcs[g]), pcs[g])
+		rig, err := hmcBoard(mesh.Shard(g).Engine(), spec, o, len(pcs[g]), pcs[g])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -429,13 +425,13 @@ func buildRigs(spec Spec, o Options, mesh *sim.Mesh) ([]*gups.Rig, [][]int, erro
 	return rigs, owners, nil
 }
 
-// hmcBoard builds one AC-510 board on eng: a gen cube behind a
+// hmcBoard builds one AC-510 board on eng: an HMC11 cube behind a
 // controller with at least ports hardware ports, pcs' issue loops on
 // it, and refresh running when the spec asks for it.
-func hmcBoard(eng *sim.Engine, spec Spec, o Options, gen hmc.Generation, ports int, pcs []gups.PortConfig) (*gups.Rig, error) {
+func hmcBoard(eng *sim.Engine, spec Spec, o Options, ports int, pcs []gups.PortConfig) (*gups.Rig, error) {
 	fp := fpga.DefaultParams()
 	fp.Ports = max(fp.Ports, ports)
-	rig, err := gups.BuildRigPortsOn(eng, gups.Config{Generation: gen, FPGAParams: &fp}, pcs)
+	rig, err := gups.BuildRigPortsOn(eng, gups.Config{FPGAParams: &fp}, pcs)
 	if err != nil {
 		return nil, err
 	}
@@ -447,17 +443,15 @@ func hmcBoard(eng *sim.Engine, spec Spec, o Options, gen hmc.Generation, ports i
 
 // buildBackends builds one backend replica per group on the mesh's
 // shard engines, each an equal share of the spec's cubes or channels:
-// an AC-510 board with a controller port per tenant index (an HMC11
-// cube, unlike the gups.Port runner's HMC10 — README "Performance and
-// known quirks"), a set of interleaved DDR4-2400 channels, or a chain
-// or ring of cubes.
+// an AC-510 board with a controller port per tenant index, a set of
+// interleaved DDR4-2400 channels, or a chain or ring of cubes.
 func buildBackends(spec Spec, o Options, mesh *sim.Mesh) ([]mem.Backend, error) {
 	backends := make([]mem.Backend, spec.Groups)
 	for g := range backends {
 		eng := mesh.Shard(g).Engine()
 		switch spec.Backend {
 		case "hmc":
-			rig, err := hmcBoard(eng, spec, o, hmc.HMC11, len(spec.Tenants), nil)
+			rig, err := hmcBoard(eng, spec, o, len(spec.Tenants), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -53,6 +53,31 @@ func TestUniformMatchesGUPS(t *testing.T) {
 	}
 }
 
+// TestRefreshCostsBandwidth: Spec.Refresh runs the cube's refresh
+// tickers on the gups.Port runner, and refresh never raises
+// bandwidth. On the full cube the links bound uniform reads and
+// refresh hides behind them; on a 4-bank footprint the banks bound
+// them, so refresh must cost bandwidth there.
+func TestRefreshCostsBandwidth(t *testing.T) {
+	for _, c := range []struct {
+		pattern  string
+		mustCost bool
+	}{{"full", false}, {"4 banks", true}} {
+		spec := mustByName(t, "uniform")
+		spec.Tenants[0].Pattern = c.pattern
+		noRef := MustRun(spec, quick())
+		spec.Refresh = true
+		withRef := MustRun(spec, quick())
+		no, with := noRef.Total.RawGBps, withRef.Total.RawGBps
+		if with > no*1.01 {
+			t.Errorf("%s: refresh raised bandwidth: %.2f -> %.2f", c.pattern, no, with)
+		}
+		if c.mustCost && with >= no {
+			t.Errorf("%s: refresh cost no bandwidth (%.2f GB/s both ways)", c.pattern, no)
+		}
+	}
+}
+
 // TestBuiltinScenariosRun: every builtin spec validates and produces
 // traffic end to end.
 func TestBuiltinScenariosRun(t *testing.T) {

@@ -2,6 +2,7 @@ package simcache
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"testing"
 
@@ -29,13 +30,37 @@ var pinnedOptionSets = []struct {
 	{"bad-traffic", scenario.Options{Traffic: "warp:9", SLONs: 1500}},
 }
 
+// update re-records testdata/pinned_keys.json instead of comparing
+// against it:
+//
+//	go test ./internal/simcache -run TestCacheKeysPinned -update
+var update = flag.Bool("update", false, "re-record testdata/pinned_keys.json")
+
 // TestCacheKeysPinned: every library spec under every option set keys
 // exactly as recorded in testdata/pinned_keys.json, so a refactor of
 // the normalization cannot silently orphan cached results. A change
 // that means to move keys bumps scenario.EngineVersion (or the
-// encoding format) and re-records the file.
+// encoding format) and re-records the file with -update.
 func TestCacheKeysPinned(t *testing.T) {
-	raw, err := os.ReadFile("testdata/pinned_keys.json")
+	const path = "testdata/pinned_keys.json"
+	keys, n := map[string]string{}, 0
+	for _, spec := range scenario.Library() {
+		for _, set := range pinnedOptionSets {
+			keys[spec.Name+"/"+set.name] = KeyOf(spec, set.o).String()
+			n++
+		}
+	}
+	if *update {
+		raw, err := json.MarshalIndent(keys, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +68,9 @@ func TestCacheKeysPinned(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, spec := range scenario.Library() {
-		for _, set := range pinnedOptionSets {
-			id := spec.Name + "/" + set.name
-			n++
-			if got := KeyOf(spec, set.o).String(); got != want[id] {
-				t.Errorf("%s: key %s, pinned %q", id, got, want[id])
-			}
+	for id, got := range keys {
+		if got != want[id] {
+			t.Errorf("%s: key %s, pinned %q", id, got, want[id])
 		}
 	}
 	if n != len(want) {

@@ -87,14 +87,6 @@ func (h *LogHist) N() uint64 { return h.n }
 // warmup/measurement-window split resets monitors without allocating.
 func (h *LogHist) Reset() { *h = LogHist{} }
 
-// Clone returns an independent snapshot. Snapshots are exact: they
-// carry the full bucket state, so merging snapshots is equivalent to
-// merging the live histograms.
-func (h *LogHist) Clone() *LogHist {
-	c := *h
-	return &c
-}
-
 // Merge folds other into h by adding bucket counts — exactly
 // equivalent to recording all of other's samples into h. A nil or
 // empty other is a no-op.

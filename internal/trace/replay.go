@@ -13,8 +13,6 @@ import (
 
 // ReplayConfig drives a trace through the simulated stack.
 type ReplayConfig struct {
-	Generation hmc.Generation
-	DevParams  *hmc.Params
 	// Window is the maximum number of independent accesses in flight
 	// (an out-of-order core's MSHR budget). Dependent accesses always
 	// serialize regardless. Default 64.
@@ -22,13 +20,6 @@ type ReplayConfig struct {
 	// MaxAccesses bounds unbounded generators (0 = until the
 	// generator ends; required for unbounded ones).
 	MaxAccesses int
-	// Port selects the GUPS port identity used for drain accounting.
-	Port int
-	// DrainFlitsPerCycle overrides the response-drain rate. Replay
-	// models a host core's memory interface rather than one Verilog
-	// GUPS port, so the default is 4 flits/cycle (the GUPS port's 1
-	// flit/cycle would cap any single stream at ~21 M refs/s).
-	DrainFlitsPerCycle float64
 }
 
 // ReplayResult summarizes a replayed trace.
@@ -60,17 +51,12 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 	if window <= 0 {
 		window = 64
 	}
+	// Replay models a host core's memory interface rather than one
+	// Verilog GUPS port, so responses drain at 4 flits/cycle (the GUPS
+	// port's 1 flit/cycle would cap any single stream at ~21 M refs/s).
 	fp := fpga.DefaultParams()
 	fp.RxDrainFlitsPerCycle = 4
-	if cfg.DrainFlitsPerCycle > 0 {
-		fp.RxDrainFlitsPerCycle = cfg.DrainFlitsPerCycle
-	}
-	rig, err := gups.BuildRig(gups.Config{
-		Generation: cfg.Generation,
-		DevParams:  cfg.DevParams,
-		FPGAParams: &fp,
-		Ports:      1,
-	})
+	rig, err := gups.BuildRig(gups.Config{FPGAParams: &fp, Ports: 1})
 	if err != nil {
 		return ReplayResult{}, err
 	}
@@ -78,7 +64,7 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 	// a zero-cost shim over the controller, and the replayer itself
 	// stays backend-agnostic.
 	backend := rig.Backend
-	port := backend.Port(cfg.Port)
+	port := backend.Port(0)
 	capMask := backend.CapMask()
 
 	var res ReplayResult
