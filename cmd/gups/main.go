@@ -145,7 +145,7 @@ func runSweep(base gups.Config, workers int, format string) {
 	for i, r := range cells {
 		g.AddRow(fmt.Sprint(sizes[i]), fmt.Sprintf("%.2f", r.RawGBps),
 			fmt.Sprintf("%.2f", r.DataGBps), fmt.Sprintf("%.1f", r.MRPS),
-			fmt.Sprintf("%.0f", r.ReadLatencyNs.Mean()))
+			fmt.Sprintf("%.0f", r.ReadHistNs.Mean()))
 	}
 	rep := runner.Report{ID: "sweep", Title: "Request-size sweep", Grids: []runner.Grid{g}}
 	if err := sink.Write(os.Stdout, rep); err != nil {

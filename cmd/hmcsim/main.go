@@ -57,21 +57,17 @@ func report(m core.Measurement, typ, mode, patName string) runner.Report {
 	perf.AddRow("read MRPS", f1(m.Perf.ReadMRPS))
 	perf.AddRow("write MRPS", f1(m.Perf.WriteMRPS))
 	f0 := func(v float64) string { return fmt.Sprintf("%.0f", v) }
-	if lat := m.ReadLatency(); lat.N() > 0 {
-		perf.AddRow("read lat avg ns", f0(lat.Mean()))
-		perf.AddRow("read lat min ns", f0(lat.Min()))
-		perf.AddRow("read lat max ns", f0(lat.Max()))
-	}
-	if h := m.ReadLatencyHist(); h != nil && h.N() > 0 {
+	if h := m.ReadLatency(); h.N() > 0 {
 		q := h.Percentiles(50, 90, 99, 99.9)
+		perf.AddRow("read lat avg ns", f0(h.Mean()))
+		perf.AddRow("read lat min ns", f0(h.Min()))
+		perf.AddRow("read lat max ns", f0(h.Max()))
 		perf.AddRow("read lat p50/p90 ns", f0(q[0])+" / "+f0(q[1]))
 		perf.AddRow("read lat p99/p99.9 ns", f0(q[2])+" / "+f0(q[3]))
 	}
-	if lat := m.WriteLatency(); lat.N() > 0 {
-		perf.AddRow("write lat avg ns", f0(lat.Mean()))
-	}
-	if h := m.WriteLatencyHist(); h != nil && h.N() > 0 {
+	if h := m.WriteLatency(); h.N() > 0 {
 		q := h.Percentiles(50, 99)
+		perf.AddRow("write lat avg ns", f0(h.Mean()))
 		perf.AddRow("write lat p50/p99 ns", f0(q[0])+" / "+f0(q[1]))
 	}
 	th := runner.Grid{
@@ -227,23 +223,16 @@ func main() {
 	fmt.Printf("bandwidth:  %.2f GB/s raw (%.2f GB/s data)\n", m.Perf.RawGBps, m.Perf.DataGBps)
 	fmt.Printf("requests:   %.1f MRPS (%.1f read / %.1f write)\n",
 		m.Perf.MRPS, m.Perf.ReadMRPS, m.Perf.WriteMRPS)
-	lat := m.ReadLatency()
-	if lat.N() > 0 {
-		fmt.Printf("read lat:   avg %.0f ns, min %.0f, max %.0f (n=%d)\n",
-			lat.Mean(), lat.Min(), lat.Max(), lat.N())
-	}
-	if h := m.ReadLatencyHist(); h != nil && h.N() > 0 {
+	if h := m.ReadLatency(); h.N() > 0 {
 		q := h.Percentiles(50, 90, 99, 99.9)
+		fmt.Printf("read lat:   avg %.0f ns, min %.0f, max %.0f (n=%d)\n",
+			h.Mean(), h.Min(), h.Max(), h.N())
 		fmt.Printf("read tail:  p50 %.0f, p90 %.0f, p99 %.0f, p99.9 %.0f ns\n", q[0], q[1], q[2], q[3])
 	}
-	if wlat := m.WriteLatency(); wlat.N() > 0 {
-		line := fmt.Sprintf("write lat:  avg %.0f ns, min %.0f, max %.0f (n=%d)",
-			wlat.Mean(), wlat.Min(), wlat.Max(), wlat.N())
-		if h := m.WriteLatencyHist(); h != nil && h.N() > 0 {
-			q := h.Percentiles(50, 99)
-			line += fmt.Sprintf("; p50 %.0f, p99 %.0f", q[0], q[1])
-		}
-		fmt.Println(line)
+	if h := m.WriteLatency(); h.N() > 0 {
+		q := h.Percentiles(50, 99)
+		fmt.Printf("write lat:  avg %.0f ns, min %.0f, max %.0f (n=%d); p50 %.0f, p99 %.0f\n",
+			h.Mean(), h.Min(), h.Max(), h.N(), q[0], q[1])
 	}
 	fmt.Println("thermal/power assessment (steady state, 200 s):")
 	fmt.Printf("  %-5s %-12s %-12s %-12s %-10s %s\n",

@@ -50,9 +50,9 @@ func main() {
 	// latency (the serving-system operating point).
 	open := scenario.MustRun(must(scenario.ByName("open-loop")), opts)
 	fmt.Printf("closed loop: %6.1f MRPS at %4.0f ns mean read latency\n",
-		uni.Total.MRPS, uni.Total.ReadLatencyNs.Mean())
+		uni.Total.MRPS, uni.Total.ReadHistNs.Mean())
 	fmt.Printf("open loop:   %6.1f MRPS at %4.0f ns mean read latency\n",
-		open.Total.MRPS, open.Total.ReadLatencyNs.Mean())
+		open.Total.MRPS, open.Total.ReadHistNs.Mean())
 
 	// 4. The backend axis: the same zipfian workload on one HMC cube,
 	// one DDR4-2400 channel, and a four-cube chain. Identical tenant
@@ -63,7 +63,7 @@ func main() {
 	for _, backend := range []string{"hmc", "ddr4", "chain"} {
 		r := scenario.MustRun(scenario.WithBackend(zipf, backend), opts)
 		fmt.Printf("  %-6s %6.2f GB/s data, read lat avg %5.0f ns\n",
-			backend, r.Total.DataGBps, r.Total.ReadLatencyNs.Mean())
+			backend, r.Total.DataGBps, r.Total.ReadHistNs.Mean())
 	}
 
 	// 5. A custom spec: a latency-sensitive zipfian cache sharing the

@@ -102,19 +102,14 @@ type Measurement struct {
 // RawGBps is shorthand for the measured raw bandwidth.
 func (m Measurement) RawGBps() float64 { return m.Perf.RawGBps }
 
-// ReadLatency is shorthand for the read-latency summary (ns).
-func (m Measurement) ReadLatency() stats.Summary { return m.Perf.ReadLatencyNs }
+// ReadLatency is shorthand for the read-latency record (ns): exact
+// mean/min/max and tail percentiles; nil when no reads completed in
+// the window.
+func (m Measurement) ReadLatency() *stats.LogHist { return m.Perf.ReadHistNs }
 
-// WriteLatency is shorthand for the write-latency summary (ns).
-func (m Measurement) WriteLatency() stats.Summary { return m.Perf.WriteLatencyNs }
-
-// ReadLatencyHist is the log-bucketed read-latency distribution for
-// tail percentiles (nil when no reads completed in the window).
-func (m Measurement) ReadLatencyHist() *stats.LogHist { return m.Perf.ReadHistNs }
-
-// WriteLatencyHist is the write-side distribution (nil when no writes
-// completed in the window).
-func (m Measurement) WriteLatencyHist() *stats.LogHist { return m.Perf.WriteHistNs }
+// WriteLatency is the write-side record (nil when no writes completed
+// in the window).
+func (m Measurement) WriteLatency() *stats.LogHist { return m.Perf.WriteHistNs }
 
 // SafeConfigs lists cooling configurations that hold the workload
 // below its thermal failure threshold.

@@ -258,8 +258,3 @@ func (ch *Channel) HitRate() float64 {
 	}
 	return float64(ch.rowHits) / float64(tot)
 }
-
-// BusUtilization reports data-bus utilization over elapsed time.
-func (ch *Channel) BusUtilization(elapsed sim.Duration) float64 {
-	return ch.bus.Utilization(elapsed)
-}

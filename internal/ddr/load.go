@@ -29,9 +29,11 @@ type LoadConfig struct {
 
 // LoadResult reports a load run.
 type LoadResult struct {
-	Accesses  uint64
-	DataGBps  float64
-	LatencyNs stats.Summary
+	Accesses uint64
+	DataGBps float64
+	// LatencyNs is the latency record of the measured accesses, the
+	// same record a scenario tenant keeps.
+	LatencyNs stats.LogHist
 	HitRate   float64
 }
 
@@ -87,7 +89,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 		inFlight--
 		if measuring {
 			res.Accesses++
-			res.LatencyNs.Add(r.Latency().Nanoseconds())
+			res.LatencyNs.Record(int64(r.Latency()))
 		}
 		pump()
 	}

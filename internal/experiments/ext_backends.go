@@ -92,17 +92,14 @@ func ExtBackends(o Options) (*ExtBackendsData, error) {
 		if err != nil {
 			return backendCell{}, err
 		}
-		c := backendCell{
+		return backendCell{
 			shape: shape, backend: backend,
-			raw:  res.Total.RawGBps,
-			data: res.Total.DataGBps,
-			mrps: res.Total.MRPS,
-			latN: res.Total.ReadLatencyNs.N(),
-		}
-		if c.latN > 0 {
-			c.latNs = res.Total.ReadLatencyNs.Mean()
-		}
-		return c, nil
+			raw:   res.Total.RawGBps,
+			data:  res.Total.DataGBps,
+			mrps:  res.Total.MRPS,
+			latN:  res.Total.ReadHistNs.N(),
+			latNs: res.Total.ReadHistNs.Mean(),
+		}, nil
 	})
 	if err != nil {
 		return nil, err

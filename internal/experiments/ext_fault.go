@@ -139,7 +139,7 @@ func summarizeFaults(res scenario.Result) faultSweepPoint {
 		Failed:    tot.Failed,
 		AvailPct:  tot.Availability() * 100,
 	}
-	if h := tot.ReadHistNs; h != nil && h.N() > 0 {
+	if h := tot.ReadHistNs; h.N() > 0 {
 		p.Samples = h.N()
 		q := h.Percentiles(50, 99, 99.9)
 		p.P50, p.P99, p.P999 = q[0], q[1], q[2]

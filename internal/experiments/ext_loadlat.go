@@ -111,9 +111,9 @@ func ExtLoadLat(o Options, c loadLatConfig) (*ExtLoadLatData, error) {
 			RealizedMRPS: res.Total.OfferedMRPS,
 			AchievedMRPS: res.Total.MRPS,
 			RawGBps:      res.Total.RawGBps,
-			MeanNs:       res.Total.ReadLatencyNs.Mean(),
+			MeanNs:       res.Total.ReadHistNs.Mean(),
 		}
-		if h := res.Total.ReadHistNs; h != nil && h.N() > 0 {
+		if h := res.Total.ReadHistNs; h.N() > 0 {
 			p.Samples = h.N()
 			q := h.Percentiles(50, 90, 99, 99.9)
 			p.P50, p.P90, p.P99, p.P999 = q[0], q[1], q[2], q[3]

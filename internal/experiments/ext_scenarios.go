@@ -51,8 +51,8 @@ func runScenarioOverview(o Options) (Report, error) {
 			topo = "single"
 		}
 		lat := "-"
-		if res.Total.ReadLatencyNs.N() > 0 {
-			lat = f0(res.Total.ReadLatencyNs.Mean())
+		if h := res.Total.ReadHistNs; h.N() > 0 {
+			lat = f0(h.Mean())
 		}
 		g.AddRow(specs[i].Name, topo, fmt.Sprintf("%d", len(specs[i].Tenants)),
 			f2(res.Total.RawGBps), f2(res.Total.DataGBps), f1(res.Total.MRPS), lat)

@@ -63,8 +63,8 @@ func runShardedOverview(o Options) (Report, error) {
 			backend = "chain"
 		}
 		lat := "-"
-		if res.Total.ReadLatencyNs.N() > 0 {
-			lat = f0(res.Total.ReadLatencyNs.Mean())
+		if h := res.Total.ReadHistNs; h.N() > 0 {
+			lat = f0(h.Mean())
 		}
 		g.AddRow(spec.Name, backend, fmt.Sprintf("%d", spec.Groups),
 			fmt.Sprintf("%d", len(spec.Tenants)),

@@ -211,7 +211,7 @@ func (d *ExtSLOData) Report() Report {
 	}
 	for _, ts := range d.Final {
 		p99 := "-"
-		if h := ts.ReadHistNs; h != nil && h.N() > 0 {
+		if h := ts.ReadHistNs; h.N() > 0 {
 			p99 = f0(h.Percentile(99))
 		}
 		cl.AddRow(ts.Class, f0(ts.SLOTargetNs), fmt.Sprintf("%d", ts.Reads+ts.Writes),

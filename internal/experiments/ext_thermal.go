@@ -134,7 +134,7 @@ func summarize(res scenario.Result) thermalSweepPoint {
 		p.LevelUps += s.LevelUps
 		p.Shutdowns += s.Shutdowns
 	}
-	if h := res.Total.WriteHistNs; h != nil && h.N() > 0 {
+	if h := res.Total.WriteHistNs; h.N() > 0 {
 		p.Samples = h.N()
 		q := h.Percentiles(99, 99.9)
 		p.P99, p.P999 = q[0], q[1]
@@ -287,15 +287,14 @@ func (d *ExtThermalPlacementData) Report() Report {
 			fmt.Sprintf("%d", s.Rejected), f1(s.ThrottledPct),
 			f1(s.AchievedMRPS), f2(s.RawGBps))
 		for _, ts := range c.Res.Tenants {
-			var sum = ts.WriteLatencyNs
 			h := ts.WriteHistNs
-			if ts.ReadHistNs != nil && ts.ReadHistNs.N() > 0 {
-				sum, h = ts.ReadLatencyNs, ts.ReadHistNs
+			if ts.ReadHistNs.N() > 0 {
+				h = ts.ReadHistNs
 			}
 			mean, p99, p999 := "-", "-", "-"
-			if h != nil && h.N() > 0 {
+			if h.N() > 0 {
 				q := h.Percentiles(99, 99.9)
-				mean, p99, p999 = f0(sum.Mean()), f0(q[0]), f0(q[1])
+				mean, p99, p999 = f0(h.Mean()), f0(q[0]), f0(q[1])
 			}
 			ten.AddRow(c.Name, ts.Name, f1(ts.MRPS), mean, p99, p999)
 		}

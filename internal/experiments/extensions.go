@@ -197,7 +197,7 @@ func ExtLinkRate(o Options) (*ExtLinkRateData, error) {
 			Measure:   o.Measure,
 			Seed:      o.Seed,
 		})
-		return out{bw: r.RawGBps, lat: r.ReadLatencyNs.Mean()}, nil
+		return out{bw: r.RawGBps, lat: r.ReadHistNs.Mean()}, nil
 	})
 	if err != nil {
 		return nil, err

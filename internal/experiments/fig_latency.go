@@ -182,7 +182,7 @@ func Figure16(o Options) (*Figure16Data, error) {
 			d.LatencyUs[c.pat] = map[int]float64{}
 			d.BW[c.pat] = map[int]float64{}
 		}
-		d.LatencyUs[c.pat][c.size] = c.res.ReadLatencyNs.Mean() / 1000
+		d.LatencyUs[c.pat][c.size] = c.res.ReadHistNs.Mean() / 1000
 		d.BW[c.pat][c.size] = c.res.RawGBps
 	}
 	return d, nil
@@ -221,7 +221,7 @@ func sweepPorts(o Options, zeroMask uint64, size int) []CurvePoint {
 		pts = append(pts, CurvePoint{
 			Ports:     ports,
 			BWGBps:    res.RawGBps,
-			LatencyUs: res.ReadLatencyNs.Mean() / 1000,
+			LatencyUs: res.ReadHistNs.Mean() / 1000,
 			MRPS:      res.MRPS,
 		})
 	}

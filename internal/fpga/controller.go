@@ -102,9 +102,6 @@ type Controller struct {
 
 	freeTxns    *txn
 	wakeScratch []func()
-
-	submitted uint64
-	completed uint64
 }
 
 // NewController wires a controller to a device.
@@ -165,16 +162,6 @@ func (c *Controller) WaitBank(addr uint64, fn func()) {
 	c.waiters[b] = append(c.waiters[b], fn)
 }
 
-// BankOutstanding reports the current outstanding count of the bank
-// holding addr (test/diagnostic hook).
-func (c *Controller) BankOutstanding(addr uint64) int {
-	return c.outstanding[c.amap.GlobalBank(addr)]
-}
-
-// Submitted and Completed report transaction counts.
-func (c *Controller) Submitted() uint64 { return c.submitted }
-func (c *Controller) Completed() uint64 { return c.completed }
-
 // newTxn takes a transaction from the pool (or grows it).
 func (c *Controller) newTxn() *txn {
 	t := c.freeTxns
@@ -214,7 +201,6 @@ func (c *Controller) Submit(req hmc.Request, done func(Result)) {
 	nd := &c.nodes[link]
 	bank := c.amap.GlobalBank(req.Addr)
 	c.outstanding[bank]++
-	c.submitted++
 
 	reqFlits := req.WireBytesRequest() / hmc.FlitBytes
 
@@ -245,7 +231,6 @@ func (c *Controller) receive(t *txn) {
 func (c *Controller) finish(t *txn) {
 	done, res, bank := t.done, t.res, t.bank
 	c.releaseTxn(t)
-	c.completed++
 	c.outstanding[bank]--
 	// Wake every waiter; they re-check admission. Waiters are copied
 	// to a scratch buffer so wakeups that immediately re-wait append

@@ -56,6 +56,6 @@ func TestCalibrationReport(t *testing.T) {
 	check("ro 32B MRPS", ro32.MRPS, 300)
 	check("1-vault raw GB/s", v1.RawGBps, 11.5)
 	check("1-bank raw GB/s", b1.RawGBps, 2.6)
-	check("1-bank high-load latency us", b1.ReadLatencyNs.Mean()/1000, 24.2)
-	check("16-vault 32B high-load latency ns", ro32.ReadLatencyNs.Mean(), 1966)
+	check("1-bank high-load latency us", b1.ReadHistNs.Mean()/1000, 24.2)
+	check("16-vault 32B high-load latency ns", ro32.ReadHistNs.Mean(), 1966)
 }

@@ -81,15 +81,11 @@ type Result struct {
 	// ReadMRPS / WriteMRPS split MRPS by direction.
 	ReadMRPS, WriteMRPS float64
 
-	// ReadLatencyNs summarizes port-measured read round trips.
-	ReadLatencyNs stats.Summary
-	// WriteLatencyNs summarizes port-measured write round trips
-	// (submission to write acknowledgement).
-	WriteLatencyNs stats.Summary
 	// ReadHistNs / WriteHistNs are the merged per-port latency
-	// distributions over the measurement window (warmup excluded),
-	// for tail percentiles; nil when no request of that direction
-	// completed.
+	// records over the measurement window (warmup excluded): exact
+	// mean/min/max and tail percentiles of the port-measured round
+	// trips (a write's ends at its acknowledgement); nil when no
+	// request of that direction completed.
 	ReadHistNs  *stats.LogHist
 	WriteHistNs *stats.LogHist
 }
@@ -98,7 +94,7 @@ type Result struct {
 func (r Result) String() string {
 	return fmt.Sprintf("%v %dB x%d: %.2f GB/s raw (%.2f data), %.1f MRPS, read lat avg %.0f ns [%.0f..%.0f]",
 		r.Config.Type, r.Config.Size, r.Config.Ports, r.RawGBps, r.DataGBps, r.MRPS,
-		r.ReadLatencyNs.Mean(), r.ReadLatencyNs.Min(), r.ReadLatencyNs.Max())
+		r.ReadHistNs.Mean(), r.ReadHistNs.Min(), r.ReadHistNs.Max())
 }
 
 // Rig bundles a constructed simulation stack. Dev and Ctrl expose the
@@ -230,25 +226,23 @@ func Run(cfg Config) (Result, error) {
 
 	var mon Monitor
 	for _, p := range rig.Ports {
-		mon.merge(p.mon)
+		mon.Merge(p.mon)
 		p.mon.Release()
 	}
 	rig.Eng.Release()
 	secs := cfg.Measure.Seconds()
 	res := Result{
-		Config:         cfg,
-		Elapsed:        cfg.Measure,
-		Reads:          mon.Reads,
-		Writes:         mon.Writes,
-		RawGBps:        float64(mon.RawBytes) / secs / 1e9,
-		DataGBps:       float64(mon.DataBytes) / secs / 1e9,
-		MRPS:           float64(mon.Reads+mon.Writes) / secs / 1e6,
-		ReadMRPS:       float64(mon.Reads) / secs / 1e6,
-		WriteMRPS:      float64(mon.Writes) / secs / 1e6,
-		ReadLatencyNs:  mon.ReadLatencyNs,
-		WriteLatencyNs: mon.WriteLatencyNs,
-		ReadHistNs:     mon.ReadHistNs,
-		WriteHistNs:    mon.WriteHistNs,
+		Config:      cfg,
+		Elapsed:     cfg.Measure,
+		Reads:       mon.Reads,
+		Writes:      mon.Writes,
+		RawGBps:     float64(mon.RawBytes) / secs / 1e9,
+		DataGBps:    float64(mon.DataBytes) / secs / 1e9,
+		MRPS:        float64(mon.Reads+mon.Writes) / secs / 1e6,
+		ReadMRPS:    float64(mon.Reads) / secs / 1e6,
+		WriteMRPS:   float64(mon.Writes) / secs / 1e6,
+		ReadHistNs:  mon.ReadHistNs,
+		WriteHistNs: mon.WriteHistNs,
 	}
 	return res, nil
 }

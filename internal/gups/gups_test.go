@@ -24,8 +24,8 @@ func TestRunReadOnlyBandwidthBand(t *testing.T) {
 	if res.Reads == 0 || res.Writes != 0 {
 		t.Fatalf("ro mix wrong: %d reads %d writes", res.Reads, res.Writes)
 	}
-	if res.ReadLatencyNs.Min() < 600 {
-		t.Fatalf("min latency %.0f ns below the low-load floor", res.ReadLatencyNs.Min())
+	if res.ReadHistNs.Min() < 600 {
+		t.Fatalf("min latency %.0f ns below the low-load floor", res.ReadHistNs.Min())
 	}
 }
 
@@ -152,7 +152,7 @@ func TestHighLoadLatencyOrdering(t *testing.T) {
 	for _, size := range []int{32, 64, 128} {
 		cfg := quickCfg()
 		cfg.Size = size
-		lat[size] = MustRun(cfg).ReadLatencyNs.Mean()
+		lat[size] = MustRun(cfg).ReadHistNs.Mean()
 	}
 	if !(lat[32] < lat[64] && lat[64] < lat[128]) {
 		t.Fatalf("latency ordering violated: 32B=%.0f 64B=%.0f 128B=%.0f", lat[32], lat[64], lat[128])
@@ -193,7 +193,7 @@ func TestRunDeterminism(t *testing.T) {
 	cfg.Seed = 77
 	a, b := MustRun(cfg), MustRun(cfg)
 	if a.Reads != b.Reads || a.RawGBps != b.RawGBps ||
-		a.ReadLatencyNs.Mean() != b.ReadLatencyNs.Mean() {
+		a.ReadHistNs.Mean() != b.ReadHistNs.Mean() {
 		t.Fatal("same-seed runs diverged")
 	}
 }

@@ -9,24 +9,21 @@ import (
 )
 
 // Monitor is the per-port monitoring unit: it records read and write
-// round trips (exact streaming summaries plus log-bucketed histograms
-// for tail percentiles) and completed traffic. Measurement is gated
-// so the runner can skip warmup; Reset clears everything at the
-// warmup/measurement boundary, so cold-start events never leak into
-// the distributions.
+// round trips (one stats.LogHist per direction: exact count, mean,
+// min and max, plus log buckets for tail percentiles) and completed
+// traffic. Measurement is gated so the runner can skip warmup; Reset
+// clears everything at the warmup/measurement boundary, so cold-start
+// events never leak into the distributions.
 type Monitor struct {
 	measuring bool
 
-	// ReadLatencyNs / WriteLatencyNs are exact summaries (mean, min,
-	// max) of the port-observed round trips in nanoseconds.
-	ReadLatencyNs  stats.Summary
-	WriteLatencyNs stats.Summary
-	// ReadHistNs / WriteHistNs are the log-bucketed latency
-	// distributions behind the tail percentiles (p50..p99.9; see
-	// stats.LogHist for the error bound). They are nil on a
-	// zero-value Monitor and drawn from a pool by NewMonitor; merge
-	// allocates on demand so plain accumulators keep working, and
-	// never keeps a pointer to a source's histogram.
+	// ReadHistNs / WriteHistNs are the latency records per direction:
+	// exact mean/min/max and the distribution behind the tail
+	// percentiles (p50..p99.9; see stats.LogHist for the units and the
+	// error bound). They are nil on a zero-value Monitor and drawn
+	// from a pool by NewMonitor; Merge allocates on demand so plain
+	// accumulators keep working, and never keeps a pointer to a
+	// source's record.
 	ReadHistNs  *stats.LogHist
 	WriteHistNs *stats.LogHist
 
@@ -55,8 +52,8 @@ func pooledHist() *stats.LogHist {
 
 // Release returns m's histograms to the pool NewMonitor draws from and
 // clears m's pointers to them. Call it once m's measurements have been
-// folded into an accumulator (merge and stats.MergeHist copy bucket
-// counts, so no result aliases a released histogram).
+// folded into an accumulator (Merge copies bucket counts, so no
+// result aliases a released histogram).
 func (m *Monitor) Release() {
 	for _, h := range []*stats.LogHist{m.ReadHistNs, m.WriteHistNs} {
 		if h != nil {
@@ -66,10 +63,8 @@ func (m *Monitor) Release() {
 	m.ReadHistNs, m.WriteHistNs = nil, nil
 }
 
-// merge folds another monitor's measurements into m.
-func (m *Monitor) merge(o Monitor) {
-	m.ReadLatencyNs.Merge(o.ReadLatencyNs)
-	m.WriteLatencyNs.Merge(o.WriteLatencyNs)
+// Merge folds another monitor's measurements into m.
+func (m *Monitor) Merge(o Monitor) {
 	stats.MergeHist(&m.ReadHistNs, o.ReadHistNs)
 	stats.MergeHist(&m.WriteHistNs, o.WriteHistNs)
 	m.Reads += o.Reads
@@ -85,22 +80,21 @@ func (m *Monitor) merge(o Monitor) {
 // measuring flag and the result's error bit; the histograms must be
 // allocated (NewMonitor).
 func (m *Monitor) Record(write bool, r mem.Result, wireBytes, dataBytes uint64) {
+	h := m.ReadHistNs
 	if write {
 		m.Writes++
-		m.WriteLatencyNs.Add(r.Latency().Nanoseconds())
-		m.WriteHistNs.Record(r.LatencyNs())
+		h = m.WriteHistNs
 	} else {
 		m.Reads++
-		m.ReadLatencyNs.Add(r.Latency().Nanoseconds())
-		m.ReadHistNs.Record(r.LatencyNs())
 	}
+	h.Record(int64(r.Latency()))
 	m.RawBytes += wireBytes
 	m.DataBytes += dataBytes
 }
 
-// Reset clears all measured data in place — counters, summaries and
-// histogram contents — keeping the measuring gate and the histogram
-// storage, so the warmup boundary costs no allocation.
+// Reset clears all measured data in place — counters and histogram
+// contents — keeping the measuring gate and the histogram storage, so
+// the warmup boundary costs no allocation.
 func (m *Monitor) Reset() {
 	rh, wh := m.ReadHistNs, m.WriteHistNs
 	*m = Monitor{measuring: m.measuring, ReadHistNs: rh, WriteHistNs: wh}

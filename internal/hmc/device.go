@@ -422,14 +422,3 @@ func (d *Device) StartRefresh(until sim.Time, hot bool) {
 		d.eng.ScheduleHandler(interval*sim.Duration(vi)/sim.Duration(len(d.vaults)), tick)
 	}
 }
-
-// LinkUtilization reports TX and RX utilization of a link over the
-// elapsed time.
-func (d *Device) LinkUtilization(link int, elapsed sim.Duration) (tx, rx float64) {
-	return d.links[link].tx.Utilization(elapsed), d.links[link].rx.Utilization(elapsed)
-}
-
-// VaultTSVUtilization reports the data-bus utilization of a vault.
-func (d *Device) VaultTSVUtilization(vault int, elapsed sim.Duration) float64 {
-	return d.vaults[vault].tsv.Utilization(elapsed)
-}

@@ -271,21 +271,30 @@ func TestDeviceSubmitPanics(t *testing.T) {
 	}
 }
 
-func TestDeviceUtilizationReporting(t *testing.T) {
-	eng, dev := newTestDevice(t)
-	for i := 0; i < 100; i++ {
-		dev.Submit(eng.Now(), 0, Request{Addr: uint64(i) * 128, Size: 128}, func(AccessResult) {})
-	}
-	eng.Run()
-	elapsed := eng.Now()
-	tx, rx := dev.LinkUtilization(0, elapsed)
-	if tx <= 0 || rx <= 0 || tx > 1 || rx > 1 {
-		t.Fatalf("link utilization tx=%v rx=%v out of range", tx, rx)
-	}
-	if rx < tx {
-		t.Fatalf("read traffic should load RX (%v) more than TX (%v)", rx, tx)
-	}
-	if u := dev.VaultTSVUtilization(0, elapsed); u < 0 || u > 1 {
-		t.Fatalf("TSV utilization %v out of range", u)
+// TestLinkSerializationByDirection: a read carries its payload on the
+// response, so it occupies the RX lanes longer than TX; a write
+// carries it on the request, the reverse. Both spans are read off the
+// AccessResult timeline of one access on an idle link 0 to quadrant 0.
+func TestLinkSerializationByDirection(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		eng, dev := newTestDevice(t)
+		p := dev.Params()
+		var r AccessResult
+		dev.Submit(0, 0, Request{Size: 128, Write: write}, func(res AccessResult) { r = res })
+		eng.Run()
+		if r.Loc.Quadrant != 0 {
+			t.Fatalf("address 0 decoded to quadrant %d, want link 0's quadrant 0", r.Loc.Quadrant)
+		}
+		tx := r.DeviceArrive - r.Submit - p.LinkWireLatency - p.IngressLatency
+		rx := r.Deliver - r.RespDepart - p.LinkWireLatency
+		if tx <= 0 || rx <= 0 {
+			t.Fatalf("write=%v: serialization tx %v rx %v, want both positive", write, tx, rx)
+		}
+		if !write && rx <= tx {
+			t.Errorf("128 B read: response serialization %v not above request %v", rx, tx)
+		}
+		if write && tx <= rx {
+			t.Errorf("128 B write: request serialization %v not above response %v", tx, rx)
+		}
 	}
 }

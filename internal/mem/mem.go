@@ -42,13 +42,6 @@ type Result struct {
 // Latency is the port-observed round trip.
 func (r Result) Latency() sim.Duration { return r.Deliver - r.Submit }
 
-// LatencyNs is the round trip in whole nanoseconds — the integer
-// form the latency histograms record. Truncation (not rounding)
-// keeps every sub-nanosecond completion in the bucket below it, so a
-// histogram and a wall-clock trace of the same run agree on counts
-// per nanosecond.
-func (r Result) LatencyNs() int64 { return int64(r.Latency() / sim.Nanosecond) }
-
 // Done is the completion callback. Backends store it rather than
 // wrapping it, so reusable func values keep submission allocation-free.
 type Done func(Result)

@@ -44,7 +44,7 @@ func TestDDRUniformMatchesRunLoad(t *testing.T) {
 	if got.Total.DataGBps != ref.DataGBps {
 		t.Errorf("data GB/s: scenario %v != RunLoad %v", got.Total.DataGBps, ref.DataGBps)
 	}
-	sl, rl := got.Total.ReadLatencyNs, ref.LatencyNs
+	sl, rl := got.Total.ReadHistNs, &ref.LatencyNs
 	if sl.N() != rl.N() || sl.Mean() != rl.Mean() || sl.Min() != rl.Min() || sl.Max() != rl.Max() {
 		t.Errorf("latency: scenario n=%d mean=%v [%v..%v] != RunLoad n=%d mean=%v [%v..%v]",
 			sl.N(), sl.Mean(), sl.Min(), sl.Max(), rl.N(), rl.Mean(), rl.Min(), rl.Max())

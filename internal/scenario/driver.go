@@ -478,9 +478,9 @@ func runDrivers(spec Spec, o Options, mesh *sim.Mesh, backends []mem.Backend) (R
 	accums := make([]monAccum, len(drivers))
 	var total monAccum
 	for ti, d := range drivers {
-		accums[ti].add(d.mon)
+		accums[ti].Merge(d.mon)
 		accums[ti].addResilience(d.errs, d.retries, d.abandoned, d.failed)
-		total.add(d.mon)
+		total.Merge(d.mon)
 		total.addResilience(d.errs, d.retries, d.abandoned, d.failed)
 		d.mon.Release()
 	}

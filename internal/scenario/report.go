@@ -44,8 +44,8 @@ func describeTenant(t Tenant) (mix, access, inject string) {
 }
 
 // tailGrid renders the tail-latency percentile table: one row per
-// tenant and direction (plus totals), percentiles from the
-// log-bucketed histograms, mean/max from the exact summaries.
+// tenant and direction (plus totals), percentiles from the latency
+// records' log buckets, mean/max from their exact moments.
 func (r Result) tailGrid() runner.Grid {
 	f0 := func(v float64) string { return fmt.Sprintf("%.0f", v) }
 	g := runner.Grid{
@@ -53,17 +53,15 @@ func (r Result) tailGrid() runner.Grid {
 		Cols:  []string{"Tenant", "Op", "n", "p50", "p90", "p99", "p99.9", "mean", "max"},
 	}
 	addRows := func(name string, ts TenantStats) {
-		if ts.ReadHistNs != nil && ts.ReadHistNs.N() > 0 {
-			q := ts.ReadHistNs.Percentiles(50, 90, 99, 99.9)
-			g.AddRow(name, "read", fmt.Sprintf("%d", ts.ReadHistNs.N()),
-				f0(q[0]), f0(q[1]), f0(q[2]), f0(q[3]),
-				f0(ts.ReadLatencyNs.Mean()), f0(ts.ReadLatencyNs.Max()))
+		if h := ts.ReadHistNs; h.N() > 0 {
+			q := h.Percentiles(50, 90, 99, 99.9)
+			g.AddRow(name, "read", fmt.Sprintf("%d", h.N()),
+				f0(q[0]), f0(q[1]), f0(q[2]), f0(q[3]), f0(h.Mean()), f0(h.Max()))
 		}
-		if ts.WriteHistNs != nil && ts.WriteHistNs.N() > 0 {
-			q := ts.WriteHistNs.Percentiles(50, 90, 99, 99.9)
-			g.AddRow(name, "write", fmt.Sprintf("%d", ts.WriteHistNs.N()),
-				f0(q[0]), f0(q[1]), f0(q[2]), f0(q[3]),
-				f0(ts.WriteLatencyNs.Mean()), f0(ts.WriteLatencyNs.Max()))
+		if h := ts.WriteHistNs; h.N() > 0 {
+			q := h.Percentiles(50, 90, 99, 99.9)
+			g.AddRow(name, "write", fmt.Sprintf("%d", h.N()),
+				f0(q[0]), f0(q[1]), f0(q[2]), f0(q[3]), f0(h.Mean()), f0(h.Max()))
 		}
 	}
 	for _, ts := range r.Tenants {
@@ -123,7 +121,7 @@ func (r Result) sloGrid() runner.Grid {
 		if n > 0 {
 			metPct = fmt.Sprintf("%.2f", float64(met)/float64(n)*100)
 		}
-		if h != nil && h.N() > 0 {
+		if h.N() > 0 {
 			p99 = fmt.Sprintf("%.0f", h.Percentile(99))
 		}
 		g.AddRow(class, tenant, target, fmt.Sprintf("%d", n), metPct,
@@ -225,8 +223,8 @@ func (r Result) Report() runner.Report {
 		t := r.Spec.Tenants[i].withDefaults()
 		mix, access, inject := describeTenant(t)
 		latAvg, latMax := "-", "-"
-		if ts.ReadLatencyNs.N() > 0 {
-			latAvg, latMax = f0(ts.ReadLatencyNs.Mean()), f0(ts.ReadLatencyNs.Max())
+		if h := ts.ReadHistNs; h.N() > 0 {
+			latAvg, latMax = f0(h.Mean()), f0(h.Max())
 		}
 		g.AddRow(ts.Name, fmt.Sprintf("%d", t.Ports), mix, access, inject,
 			fmt.Sprintf("%d", t.Size), f2(ts.RawGBps), f2(ts.DataGBps),
@@ -234,8 +232,8 @@ func (r Result) Report() runner.Report {
 	}
 	if len(r.Tenants) > 1 {
 		latAvg, latMax := "-", "-"
-		if r.Total.ReadLatencyNs.N() > 0 {
-			latAvg, latMax = f0(r.Total.ReadLatencyNs.Mean()), f0(r.Total.ReadLatencyNs.Max())
+		if h := r.Total.ReadHistNs; h.N() > 0 {
+			latAvg, latMax = f0(h.Mean()), f0(h.Max())
 		}
 		g.AddRow("total", "", "", "", "", "", f2(r.Total.RawGBps),
 			f2(r.Total.DataGBps), f1(r.Total.MRPS), latAvg, latMax)

@@ -89,13 +89,10 @@ type TenantStats struct {
 	RawGBps, DataGBps float64
 	// MRPS is million requests (reads+writes) per second.
 	MRPS float64
-	// ReadLatencyNs / WriteLatencyNs are exact summaries of the
-	// measured round trips per direction.
-	ReadLatencyNs  stats.Summary
-	WriteLatencyNs stats.Summary
-	// ReadHistNs / WriteHistNs are the merged log-bucketed latency
-	// distributions across the tenant's ports (warmup excluded); nil
-	// when no request of that direction completed in the window.
+	// ReadHistNs / WriteHistNs are the merged latency records across
+	// the tenant's ports (warmup excluded): exact mean/min/max and
+	// log-bucketed tails of the measured round trips per direction;
+	// nil when no request of that direction completed in the window.
 	ReadHistNs  *stats.LogHist
 	WriteHistNs *stats.LogHist
 	// Errors counts errored completions observed in the window (every
@@ -153,28 +150,16 @@ func (ts TenantStats) SLOFraction() float64 {
 	return float64(ts.SLOMet) / float64(n)
 }
 
-// monAccum folds port monitors with integer arithmetic, deferring
-// the rate divisions to one final step — the same order of float
-// operations the GUPS runner uses, so a scenario that reduces to a
-// GUPS config reproduces its numbers bit-for-bit.
+// monAccum is a gups.Monitor plus the tenant drivers' resilience
+// counters. It folds port monitors with integer arithmetic
+// (Monitor.Merge), deferring the rate divisions to one final step —
+// the same order of float operations the GUPS runner uses, so a
+// scenario that reduces to a GUPS config reproduces its numbers
+// bit-for-bit.
 type monAccum struct {
-	reads, writes       uint64
-	dataBytes, rawBytes uint64
-	lat, wlat           stats.Summary
-	rhist, whist        *stats.LogHist
-	errs, retries       uint64
-	abandoned, failed   uint64
-}
-
-func (a *monAccum) add(m gups.Monitor) {
-	a.reads += m.Reads
-	a.writes += m.Writes
-	a.dataBytes += m.DataBytes
-	a.rawBytes += m.RawBytes
-	a.lat.Merge(m.ReadLatencyNs)
-	a.wlat.Merge(m.WriteLatencyNs)
-	stats.MergeHist(&a.rhist, m.ReadHistNs)
-	stats.MergeHist(&a.whist, m.WriteHistNs)
+	gups.Monitor
+	errs, retries     uint64
+	abandoned, failed uint64
 }
 
 // addResilience folds one driver's error/retry accounting.
@@ -187,25 +172,23 @@ func (a *monAccum) addResilience(errs, retries, abandoned, failed uint64) {
 
 func (a monAccum) stats(name string, secs float64) TenantStats {
 	ts := TenantStats{
-		Name:           name,
-		Reads:          a.reads,
-		Writes:         a.writes,
-		ReadLatencyNs:  a.lat,
-		WriteLatencyNs: a.wlat,
-		ReadHistNs:     a.rhist,
-		WriteHistNs:    a.whist,
-		Errors:         a.errs,
-		Retries:        a.retries,
-		Abandoned:      a.abandoned,
-		Failed:         a.failed,
+		Name:        name,
+		Reads:       a.Reads,
+		Writes:      a.Writes,
+		ReadHistNs:  a.ReadHistNs,
+		WriteHistNs: a.WriteHistNs,
+		Errors:      a.errs,
+		Retries:     a.retries,
+		Abandoned:   a.abandoned,
+		Failed:      a.failed,
 	}
 	// A zero-length window (a tenant whose lifecycle never overlaps
 	// the measured window, or a degenerate slice) renders 0 rates,
 	// never Inf/NaN.
 	if secs > 0 {
-		ts.RawGBps = float64(a.rawBytes) / secs / 1e9
-		ts.DataGBps = float64(a.dataBytes) / secs / 1e9
-		ts.MRPS = float64(a.reads+a.writes) / secs / 1e6
+		ts.RawGBps = float64(a.RawBytes) / secs / 1e9
+		ts.DataGBps = float64(a.DataBytes) / secs / 1e9
+		ts.MRPS = float64(a.Reads+a.Writes) / secs / 1e6
 		ts.GoodputMRPS = ts.MRPS
 	}
 	return ts
@@ -356,8 +339,8 @@ func runPorts(spec Spec, o Options, mesh *sim.Mesh) (Result, error) {
 	for g, rig := range rigs {
 		for pi, p := range rig.Ports {
 			m := p.TakeMonitor()
-			accums[owners[g][pi]].add(m)
-			total.add(m)
+			accums[owners[g][pi]].Merge(m)
+			total.Merge(m)
 			m.Release()
 		}
 	}
@@ -530,17 +513,12 @@ func annotate(ts *TenantStats, t Tenant) {
 	}
 	ts.SLOTargetNs = t.QoS.TargetNs
 	thr := int64(t.QoS.TargetNs)
-	if ts.ReadHistNs != nil {
-		ts.SLOMet += ts.ReadHistNs.CountAtMost(thr)
-	}
-	if ts.WriteHistNs != nil {
-		ts.SLOMet += ts.WriteHistNs.CountAtMost(thr)
-	}
+	ts.SLOMet = ts.ReadHistNs.CountAtMost(thr) + ts.WriteHistNs.CountAtMost(thr)
 }
 
 // String renders a one-line summary of the run.
 func (r Result) String() string {
 	return fmt.Sprintf("%s (%s, %d tenants): %.2f GB/s raw, %.1f MRPS, read lat avg %.0f ns",
 		r.Spec.Name, r.Spec.Topology, len(r.Tenants), r.Total.RawGBps, r.Total.MRPS,
-		r.Total.ReadLatencyNs.Mean())
+		r.Total.ReadHistNs.Mean())
 }

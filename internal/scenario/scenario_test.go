@@ -45,11 +45,11 @@ func TestUniformMatchesGUPS(t *testing.T) {
 		t.Errorf("ops: scenario %d/%d != gups %d/%d",
 			got.Total.Reads, got.Total.Writes, ref.Reads, ref.Writes)
 	}
-	if got.Total.ReadLatencyNs.Mean() != ref.ReadLatencyNs.Mean() ||
-		got.Total.ReadLatencyNs.N() != ref.ReadLatencyNs.N() {
+	if got.Total.ReadHistNs.Mean() != ref.ReadHistNs.Mean() ||
+		got.Total.ReadHistNs.N() != ref.ReadHistNs.N() {
 		t.Errorf("latency: scenario %v/%d != gups %v/%d",
-			got.Total.ReadLatencyNs.Mean(), got.Total.ReadLatencyNs.N(),
-			ref.ReadLatencyNs.Mean(), ref.ReadLatencyNs.N())
+			got.Total.ReadHistNs.Mean(), got.Total.ReadHistNs.N(),
+			ref.ReadHistNs.Mean(), ref.ReadHistNs.N())
 	}
 }
 
@@ -251,9 +251,9 @@ func TestChainVsSingleLatency(t *testing.T) {
 		Tenants: []Tenant{{Name: "t", Ports: 1, Inject: Injection{Outstanding: 64}}},
 	}, o)
 	chain4 := MustRun(mustByName(t, "chain-4"), o)
-	if chain4.Total.ReadLatencyNs.Mean() <= single.Total.ReadLatencyNs.Mean() {
+	if chain4.Total.ReadHistNs.Mean() <= single.Total.ReadHistNs.Mean() {
 		t.Errorf("chain latency %.0f ns should exceed single-cube %.0f ns",
-			chain4.Total.ReadLatencyNs.Mean(), single.Total.ReadLatencyNs.Mean())
+			chain4.Total.ReadHistNs.Mean(), single.Total.ReadHistNs.Mean())
 	}
 }
 

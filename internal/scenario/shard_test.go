@@ -73,7 +73,7 @@ func TestShardRemoteTraffic(t *testing.T) {
 	o := quickShard()
 	local := MustRun(mustByName(t, "chain-16"), o)
 	remote := MustRun(mustByName(t, "chain-16-remote"), o)
-	if lm, rm := local.Total.ReadLatencyNs.Max(), remote.Total.ReadLatencyNs.Max(); rm <= lm {
+	if lm, rm := local.Total.ReadHistNs.Max(), remote.Total.ReadHistNs.Max(); rm <= lm {
 		t.Errorf("remote max read latency %.0f ns not above local-only %.0f ns", rm, lm)
 	}
 	if remote.Total.Reads == 0 || local.Total.Reads == 0 {

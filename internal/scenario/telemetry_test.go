@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hmcsim/internal/sim"
+	"hmcsim/internal/stats"
 )
 
 // telemetryOpts keeps the telemetry tests fast but with a real warmup
@@ -29,10 +30,10 @@ func rwSpec(backend string) Spec {
 }
 
 // TestTelemetryAllBackends: on every backend, read and write round
-// trips land in both the summaries and the histograms, with exactly
-// one histogram sample per measured completion — which also proves
-// warmup completions are excluded, since Reads/Writes reset at the
-// boundary.
+// trips land in the latency records, with exactly one sample per
+// measured completion — which also proves warmup completions are
+// excluded, since Reads/Writes reset at the boundary — and exact
+// moments no faster than the backend's MinLatency floor.
 func TestTelemetryAllBackends(t *testing.T) {
 	for _, backend := range []string{"hmc", "ddr4", "chain"} {
 		t.Run(backend, func(t *testing.T) {
@@ -44,16 +45,22 @@ func TestTelemetryAllBackends(t *testing.T) {
 			if tot.Reads == 0 || tot.Writes == 0 {
 				t.Fatalf("mix tenant completed %d reads / %d writes", tot.Reads, tot.Writes)
 			}
-			if tot.ReadLatencyNs.N() != tot.Reads || tot.ReadHistNs.N() != tot.Reads {
-				t.Errorf("read telemetry: summary %d, hist %d, want %d",
-					tot.ReadLatencyNs.N(), tot.ReadHistNs.N(), tot.Reads)
+			if tot.ReadHistNs.N() != tot.Reads {
+				t.Errorf("read telemetry: %d samples, want %d", tot.ReadHistNs.N(), tot.Reads)
 			}
-			if tot.WriteLatencyNs.N() != tot.Writes || tot.WriteHistNs.N() != tot.Writes {
-				t.Errorf("write telemetry: summary %d, hist %d, want %d",
-					tot.WriteLatencyNs.N(), tot.WriteHistNs.N(), tot.Writes)
+			if tot.WriteHistNs.N() != tot.Writes {
+				t.Errorf("write telemetry: %d samples, want %d", tot.WriteHistNs.N(), tot.Writes)
 			}
-			if tot.WriteLatencyNs.Mean() <= 0 {
-				t.Errorf("write latency mean %v not positive", tot.WriteLatencyNs.Mean())
+			backends, err := buildBackends(rwSpec(backend).withDefaults(), telemetryOpts().withDefaults(), sim.NewMesh(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			floor := backends[0].MinLatency().Nanoseconds()
+			for dir, h := range map[string]*stats.LogHist{"read": tot.ReadHistNs, "write": tot.WriteHistNs} {
+				if h.Min() < floor || h.Mean() < h.Min() || h.Max() < h.Mean() {
+					t.Errorf("%s record: min %v mean %v max %v, want floor %v <= min <= mean <= max",
+						dir, h.Min(), h.Mean(), h.Max(), floor)
+				}
 			}
 			for _, ts := range res.Tenants {
 				if ts.ReadHistNs.N() != ts.Reads {
@@ -93,8 +100,8 @@ func TestTenantHistogramsSumToTotal(t *testing.T) {
 	if writes != res.Total.WriteHistNs.N() {
 		t.Errorf("tenant write hists sum %d != total %d", writes, res.Total.WriteHistNs.N())
 	}
-	if res.Total.WriteLatencyNs.N() != res.Total.Writes {
-		t.Errorf("total write summary %d != writes %d", res.Total.WriteLatencyNs.N(), res.Total.Writes)
+	if res.Total.WriteHistNs.N() != res.Total.Writes {
+		t.Errorf("total write record %d != writes %d", res.Total.WriteHistNs.N(), res.Total.Writes)
 	}
 }
 

@@ -85,9 +85,9 @@ func TestThermalFeedbackDegradesService(t *testing.T) {
 	// The stretch dominates the tail even where queue draining hides
 	// it from the mean: the throttled max round trip exceeds the
 	// unthrottled one by at least one full derate step.
-	if hot.Total.WriteLatencyNs.Max() <= naive.Total.WriteLatencyNs.Max() {
+	if hot.Total.WriteHistNs.Max() <= naive.Total.WriteHistNs.Max() {
 		t.Errorf("throttled write latency max %.0f ns not above naive %.0f ns",
-			hot.Total.WriteLatencyNs.Max(), naive.Total.WriteLatencyNs.Max())
+			hot.Total.WriteHistNs.Max(), naive.Total.WriteHistNs.Max())
 	}
 	// Stronger cooling throttles less: Cfg1 sustains more throughput
 	// than Cfg4 on the identical workload and spends less of the run

@@ -11,8 +11,6 @@ package sim
 type Server struct {
 	// freeAt is the first instant at which the resource is idle.
 	freeAt Time
-	// busy accumulates total granted service time, for utilization.
-	busy Duration
 }
 
 // Reserve grants the next available interval of length d starting no
@@ -27,7 +25,6 @@ func (s *Server) Reserve(now Time, d Duration) (start, end Time) {
 	}
 	end = start + d
 	s.freeAt = end
-	s.busy += d
 	return start, end
 }
 
@@ -40,29 +37,5 @@ func (s *Server) ReserveAt(now, earliest Time, d Duration) (start, end Time) {
 	return s.Reserve(now, d)
 }
 
-// FreeAt reports when the server next becomes idle.
-func (s *Server) FreeAt() Time { return s.freeAt }
-
-// Backlog reports how far in the future the server's queue currently
-// extends past now; zero if the server is idle.
-func (s *Server) Backlog(now Time) Duration {
-	if s.freeAt <= now {
-		return 0
-	}
-	return s.freeAt - now
-}
-
-// BusyTime reports the cumulative granted service time.
-func (s *Server) BusyTime() Duration { return s.busy }
-
-// Utilization reports busy time as a fraction of elapsed time; elapsed
-// must be positive.
-func (s *Server) Utilization(elapsed Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(s.busy) / float64(elapsed)
-}
-
-// Reset returns the server to idle at time zero with no history.
-func (s *Server) Reset() { s.freeAt, s.busy = 0, 0 }
+// Reset returns the server to idle at time zero.
+func (s *Server) Reset() { s.freeAt = 0 }

@@ -2,12 +2,17 @@ package stats
 
 import "math/bits"
 
-// LogHist is a log-bucketed latency histogram: fixed memory, a
-// zero-allocation record path, exact mergeability, and percentile
-// extraction with a documented relative error bound. It is the
-// telemetry primitive behind every tail-latency number the harness
-// reports — Summary keeps exact mean/min/max alongside, LogHist keeps
-// the shape of the distribution.
+// LogHist is the latency record: a log-bucketed histogram plus the
+// exact count, sum, min and max of everything recorded. It has fixed
+// memory, a zero-allocation record path, exact mergeability, and
+// percentile extraction with a documented relative error bound. Every
+// latency the harness reports, mean or tail, comes from one.
+//
+// Units: Record takes a round trip in picoseconds, the sim clock's
+// unit. Its whole nanoseconds, truncated toward zero, pick the bucket,
+// so Percentile(s), CountAtMost and EachBucket speak nanoseconds at
+// bucket granularity. The exact picosecond value feeds the integer
+// sum, min and max, so Mean, Min and Max report exact nanoseconds.
 //
 // Bucketing follows the HdrHistogram family: values 0..31 get exact
 // unit buckets; above that, each power-of-two range is split into 32
@@ -18,13 +23,14 @@ import "math/bits"
 // uint64 range is covered, so a nanosecond-scale recording never
 // overflows or clips.
 //
-// Merging adds bucket counts, which is exact: a merged histogram is
-// byte-identical in state to one that recorded every sample directly
-// (the property internal/stats tests pin). The zero value is an empty
-// histogram, ready to use; Record never allocates.
+// Merging adds bucket counts and sums and widens the extremes, which
+// is exact: a merged record is struct-equal to one that recorded every
+// sample directly (the property internal/stats tests pin). The zero
+// value is an empty record, ready to use; Record never allocates.
 type LogHist struct {
-	n      uint64
-	counts [histBuckets]uint64
+	n             uint64
+	sum, min, max int64 // picoseconds
+	counts        [histBuckets]uint64
 }
 
 const (
@@ -67,33 +73,77 @@ func histMid(i int) float64 {
 	return float64(lo) + float64(hi-lo)/2
 }
 
-// Record adds one observation. Negative values clamp to zero (a
-// latency can round to -0 only through caller arithmetic bugs; the
-// histogram stays total rather than panicking on the hot path).
+// Record adds one round trip of ps picoseconds. Negative values clamp
+// to zero (a latency can go negative only through caller arithmetic
+// bugs; the record stays total rather than panicking on the hot path).
 // Record performs no allocation — the gate internal/stats tests
 // enforce with testing.AllocsPerRun.
-func (h *LogHist) Record(v int64) {
-	if v < 0 {
-		v = 0
+func (h *LogHist) Record(ps int64) {
+	if ps < 0 {
+		ps = 0
 	}
-	h.counts[histBucket(uint64(v))]++
+	if h.n == 0 || ps < h.min {
+		h.min = ps
+	}
+	if ps > h.max {
+		h.max = ps
+	}
+	h.sum += ps
 	h.n++
+	h.counts[histBucket(uint64(ps)/1000)]++
 }
 
-// N reports the number of recorded observations.
-func (h *LogHist) N() uint64 { return h.n }
+// N reports the number of recorded observations (0 for a nil record).
+func (h *LogHist) N() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.n
+}
 
-// Reset empties the histogram in place, keeping its storage — the
+// Mean reports the exact mean in nanoseconds (0 when empty or nil).
+func (h *LogHist) Mean() float64 {
+	if h.N() == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.n) / 1000
+}
+
+// Min reports the exact smallest observation in nanoseconds (0 when
+// empty or nil).
+func (h *LogHist) Min() float64 {
+	if h.N() == 0 {
+		return 0
+	}
+	return float64(h.min) / 1000
+}
+
+// Max reports the exact largest observation in nanoseconds (0 when
+// empty or nil).
+func (h *LogHist) Max() float64 {
+	if h.N() == 0 {
+		return 0
+	}
+	return float64(h.max) / 1000
+}
+
+// Reset empties the record in place, keeping its storage — the
 // warmup/measurement-window split resets monitors without allocating.
 func (h *LogHist) Reset() { *h = LogHist{} }
 
-// Merge folds other into h by adding bucket counts — exactly
-// equivalent to recording all of other's samples into h. A nil or
-// empty other is a no-op.
+// Merge folds other into h — exactly equivalent to recording all of
+// other's samples into h. A nil or empty other is a no-op.
 func (h *LogHist) Merge(other *LogHist) {
-	if other == nil || other.n == 0 {
+	if other.N() == 0 {
 		return
 	}
+	if h.n == 0 || other.min < h.min {
+		h.min = other.min
+	}
+	if other.max > h.max {
+		h.max = other.max
+	}
+	h.sum += other.sum
 	h.n += other.n
 	for i, c := range other.counts {
 		if c != 0 {
@@ -107,7 +157,7 @@ func (h *LogHist) Merge(other *LogHist) {
 // accumulator shares. A nil or empty src is a no-op and allocates
 // nothing.
 func MergeHist(dst **LogHist, src *LogHist) {
-	if src == nil || src.N() == 0 {
+	if src.N() == 0 {
 		return
 	}
 	if *dst == nil {
@@ -119,7 +169,7 @@ func MergeHist(dst **LogHist, src *LogHist) {
 // Percentile returns the p-th percentile (0..100) under the same
 // nearest-rank definition as Percentile/Percentiles on raw samples:
 // the bucket holding the nearest-rank sample, reported as its
-// midpoint. It returns 0 for an empty histogram.
+// midpoint in nanoseconds. It returns 0 for an empty histogram.
 func (h *LogHist) Percentile(p float64) float64 {
 	if h.n == 0 {
 		return 0
@@ -150,14 +200,15 @@ func (h *LogHist) bucketAtRank(k uint64) int {
 	return histBuckets - 1 // unreachable for k < n
 }
 
-// CountAtMost returns how many recorded samples lie at or below v,
-// at bucket granularity: every sample sharing v's bucket counts as
-// at-or-under, so the effective threshold is the bucket's upper bound
-// (exact below 32, within the 1/64 bucket width above). It is
-// monotone in v, exact under Merge, and is the SLO "met" counter the
-// scenario QoS grid reports. Negative v counts nothing.
+// CountAtMost returns how many recorded samples lie at or below v
+// nanoseconds, at bucket granularity: every sample sharing v's bucket
+// counts as at-or-under, so the effective threshold is the bucket's
+// upper bound (exact below 32, within the 1/64 bucket width above). It
+// is monotone in v, exact under Merge, and is the SLO "met" counter
+// the scenario QoS grid reports. Negative v, or a nil or empty record,
+// counts nothing.
 func (h *LogHist) CountAtMost(v int64) uint64 {
-	if v < 0 {
+	if v < 0 || h.N() == 0 {
 		return 0
 	}
 	b := histBucket(uint64(v))
@@ -169,8 +220,9 @@ func (h *LogHist) CountAtMost(v int64) uint64 {
 }
 
 // EachBucket calls f for every nonempty bucket in ascending value
-// order with the bucket's inclusive range and count — the iteration
-// shape sinks and tests consume without exposing the storage.
+// order with the bucket's inclusive nanosecond range and count — the
+// iteration shape sinks and tests consume without exposing the
+// storage.
 func (h *LogHist) EachBucket(f func(lo, hi uint64, count uint64)) {
 	for i, c := range h.counts {
 		if c != 0 {

@@ -11,9 +11,10 @@ import (
 var logHistQuantiles = []float64{0, 10, 25, 50, 75, 90, 99, 99.9, 100}
 
 // sampleSets generates the randomized inputs the property tests run
-// over: several distribution shapes per seed, covering the exact
-// sub-32 region, mid-range uniform draws, and the heavy tails where
-// the log buckets are widest.
+// over, in nanoseconds (tests record them as picoseconds, ×1000):
+// several distribution shapes per seed, covering the exact sub-32
+// region, mid-range uniform draws, and the heavy tails where the log
+// buckets are widest.
 func sampleSets(r *rand.Rand, n int) map[string][]int64 {
 	sets := map[string][]int64{
 		"small-exact": make([]int64, n), // all in the exact 0..31 buckets
@@ -43,7 +44,7 @@ func TestLogHistPercentilesMatchExact(t *testing.T) {
 			var h LogHist
 			fs := make([]float64, len(vals))
 			for i, v := range vals {
-				h.Record(v)
+				h.Record(v * 1000)
 				fs[i] = float64(v)
 			}
 			exact := Percentiles(fs, logHistQuantiles...)
@@ -73,8 +74,8 @@ func TestLogHistMergeEquivalence(t *testing.T) {
 		var whole LogHist
 		shards := make([]LogHist, 4)
 		for i, v := range vals {
-			whole.Record(v)
-			shards[i%len(shards)].Record(v)
+			whole.Record(v * 1000)
+			shards[i%len(shards)].Record(v * 1000)
 		}
 		var merged LogHist
 		for i := range shards {
@@ -97,7 +98,7 @@ func TestLogHistMergeEquivalence(t *testing.T) {
 // TestLogHistMergeEdgeCases: nil and empty merges are no-ops.
 func TestLogHistMergeEdgeCases(t *testing.T) {
 	var h LogHist
-	h.Record(100)
+	h.Record(100_000)
 	h.Merge(nil)
 	h.Merge(&LogHist{})
 	if h.N() != 1 {
@@ -105,16 +106,97 @@ func TestLogHistMergeEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLogHistEmptyAndNegative: empty histograms report zeros;
+// TestLogHistEmptyAndNegative: empty and nil records report zeros;
 // negative values clamp into bucket 0 instead of corrupting state.
 func TestLogHistEmptyAndNegative(t *testing.T) {
+	var nilHist *LogHist
+	if nilHist.N() != 0 || nilHist.Mean() != 0 || nilHist.Min() != 0 || nilHist.Max() != 0 {
+		t.Fatal("nil record not zero")
+	}
 	var h LogHist
-	if h.Percentile(50) != 0 || h.N() != 0 {
+	if h.Percentile(50) != 0 || h.N() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not zero")
 	}
-	h.Record(-17)
-	if h.N() != 1 || h.Percentile(100) != 0 {
-		t.Fatalf("negative record: N %d p100 %v", h.N(), h.Percentile(100))
+	h.Record(-17_000)
+	if h.N() != 1 || h.Percentile(100) != 0 || h.Min() != 0 || h.Max() != 0 {
+		t.Fatalf("negative record: N %d p100 %v min %v max %v", h.N(), h.Percentile(100), h.Min(), h.Max())
+	}
+}
+
+// TestLogHistTruncatesToNanoseconds: the bucket is picked by the whole
+// nanoseconds of the picosecond input, truncated toward zero (999 ps
+// lands in bucket 0, 1000 ps in bucket 1), while Min keeps the exact
+// picoseconds.
+func TestLogHistTruncatesToNanoseconds(t *testing.T) {
+	for _, c := range []struct{ ps, ns int64 }{
+		{0, 0},
+		{999, 0},
+		{1000, 1},
+		{1999, 1},
+		{42_500, 42},
+		{3_000_000, 3000},
+	} {
+		var h LogHist
+		h.Record(c.ps)
+		if got := h.counts[histBucket(uint64(c.ns))]; got != 1 {
+			t.Errorf("%d ps: bucket of %d ns holds %d, want 1", c.ps, c.ns, got)
+		}
+		if got, want := h.Min(), float64(c.ps)/1000; got != want {
+			t.Errorf("%d ps: Min %v ns, want exact %v", c.ps, got, want)
+		}
+	}
+}
+
+// TestLogHistExactMoments: on random picosecond inputs, N, Mean, Min
+// and Max equal the values computed directly from the inputs, also
+// after Merge, and a merged record is struct-equal to one that
+// recorded every input directly.
+func TestLogHistExactMoments(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	check := func(what string, h *LogHist, n int, sum, lo, hi int64) {
+		t.Helper()
+		if h.N() != uint64(n) {
+			t.Fatalf("%s: N %d, want %d", what, h.N(), n)
+		}
+		if n == 0 {
+			return
+		}
+		if want := float64(sum) / float64(n) / 1000; h.Mean() != want {
+			t.Errorf("%s: Mean %v, want %v", what, h.Mean(), want)
+		}
+		if want := float64(lo) / 1000; h.Min() != want {
+			t.Errorf("%s: Min %v, want %v", what, h.Min(), want)
+		}
+		if want := float64(hi) / 1000; h.Max() != want {
+			t.Errorf("%s: Max %v, want %v", what, h.Max(), want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(400)
+		var whole LogHist
+		shards := make([]LogHist, 1+r.Intn(4))
+		var sum, lo, hi int64
+		for i := 0; i < n; i++ {
+			ps := 1 + r.Int63n(1<<uint(1+r.Intn(36)))
+			if i == 0 || ps < lo {
+				lo = ps
+			}
+			if ps > hi {
+				hi = ps
+			}
+			sum += ps
+			whole.Record(ps)
+			shards[r.Intn(len(shards))].Record(ps)
+		}
+		check("direct", &whole, n, sum, lo, hi)
+		var merged LogHist
+		for i := range shards {
+			merged.Merge(&shards[i])
+		}
+		check("merged", &merged, n, sum, lo, hi)
+		if merged != whole {
+			t.Fatalf("trial %d: merged state differs from direct recording", trial)
+		}
 	}
 }
 
@@ -124,7 +206,7 @@ func TestLogHistEachBucket(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var h LogHist
 	for i := 0; i < 1000; i++ {
-		h.Record(r.Int63n(1 << 30))
+		h.Record(r.Int63n(1<<30) * 1000)
 	}
 	var total uint64
 	prevHi := int64(-1)
@@ -150,7 +232,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 	var h LogHist
 	v := int64(1)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		h.Record(v)
+		h.Record(v * 1000)
 		v = (v*2862933555777941757 + 3037000493) & (1<<40 - 1)
 	}); allocs != 0 {
 		t.Fatalf("LogHist.Record allocates %.1f allocs/op, want 0", allocs)
@@ -193,6 +275,6 @@ func BenchmarkLogHistRecord(b *testing.B) {
 	var h LogHist
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Record(int64(i&0xfffff) + 100)
+		h.Record((int64(i&0xfffff) + 100) * 1000)
 	}
 }

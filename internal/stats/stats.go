@@ -1,7 +1,9 @@
 // Package stats provides the statistical tooling the characterization
-// harness needs: streaming summaries (Welford), histograms, ordinary
-// least-squares linear regression (used for the paper's Figure 11/12
-// fits), and Little's-law occupancy analysis (Figure 17).
+// harness needs: the latency record (LogHist: exact count, sum, min
+// and max beside log buckets for percentiles), a streaming count, sum,
+// min and max for single-shot runs (Summary), ordinary least-squares
+// linear regression (used for the paper's Figure 11/12 fits), and
+// Little's-law occupancy analysis (Figure 17).
 package stats
 
 import (
@@ -11,92 +13,61 @@ import (
 )
 
 // Summary accumulates a stream of observations with O(1) memory,
-// tracking count, mean, variance (Welford's algorithm), min and max.
+// tracking count, sum, min and max.
 type Summary struct {
 	n        uint64
-	mean, m2 float64
+	sum      float64
 	min, max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 0 || x < s.min {
+		s.min = x
 	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	if s.n == 0 || x > s.max {
+		s.max = x
+	}
+	s.sum += x
+	s.n++
 }
 
 // N reports the number of observations.
 func (s Summary) N() uint64 { return s.n }
 
 // Mean reports the arithmetic mean (0 if empty).
-func (s Summary) Mean() float64 { return s.mean }
+func (s Summary) Mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
 
 // Min reports the smallest observation (0 if empty).
-func (s Summary) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
+func (s Summary) Min() float64 { return s.min }
 
 // Max reports the largest observation (0 if empty).
-func (s Summary) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Variance reports the unbiased sample variance (0 for n < 2).
-func (s Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev reports the sample standard deviation.
-func (s Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
+func (s Summary) Max() float64 { return s.max }
 
 // Merge folds other into s, as if all of other's observations had
-// been Added to s (Chan et al. parallel variance combination).
+// been Added to s.
 func (s *Summary) Merge(other Summary) {
 	if other.n == 0 {
 		return
 	}
-	if s.n == 0 {
-		*s = other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	tot := n1 + n2
-	s.m2 += other.m2 + delta*delta*n1*n2/tot
-	s.mean += delta * n2 / tot
-	s.n += other.n
-	if other.min < s.min {
+	if s.n == 0 || other.min < s.min {
 		s.min = other.min
 	}
-	if other.max > s.max {
+	if s.n == 0 || other.max > s.max {
 		s.max = other.max
 	}
+	s.sum += other.sum
+	s.n += other.n
 }
 
 // String renders a compact human-readable form.
 func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g sd=%.3g",
-		s.n, s.Mean(), s.Min(), s.Max(), s.StdDev())
+	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g", s.n, s.Mean(), s.Min(), s.Max())
 }
 
 // Fit is the result of an ordinary least-squares line fit y = a + b*x.

@@ -278,15 +278,3 @@ func (r *Runtime) ZoneStats(z int) ZoneStats {
 	}
 	return s
 }
-
-// HottestZone returns the index of the zone with the highest peak
-// temperature.
-func (r *Runtime) HottestZone() int {
-	best := 0
-	for z := 1; z < len(r.zones); z++ {
-		if r.zones[z].maxC > r.zones[best].maxC {
-			best = z
-		}
-	}
-	return best
-}

@@ -6,9 +6,11 @@
 # full-registry `cmd/figures -quick -ext` pass (all 58 experiments, the
 # set the hmcbench figures-quick workload runs), and writes:
 #
-#   $OUT/kernel.txt         raw `go test -bench` output for the kernel
-#                           and for one closed-loop HMC read through
-#                           mem.HMC (BenchmarkHMCRequest)
+#   $OUT/kernel.txt         raw `go test -bench` output for the kernel,
+#                           for one closed-loop HMC read through
+#                           mem.HMC (BenchmarkHMCRequest) and for one
+#                           port-monitor completion record
+#                           (BenchmarkMonitorRecord)
 #                           (benchstat-comparable; feed two of these to
 #                           `benchstat old.txt new.txt`)
 #   $OUT/figures_bench.txt  raw output for the table/figure benchmarks
@@ -74,6 +76,9 @@ go test ./internal/sim -run '^$' -bench "$kernel_bench" \
   -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
   | tee "$out/kernel.txt"
 go test ./internal/mem -run '^$' -bench '^BenchmarkHMCRequest$' \
+  -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
+  | tee -a "$out/kernel.txt"
+go test ./internal/gups -run '^$' -bench '^BenchmarkMonitorRecord$' \
   -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
   | tee -a "$out/kernel.txt"
 
