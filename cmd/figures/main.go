@@ -120,17 +120,12 @@ func main() {
 
 	todo := registry()
 	if *id != "" {
-		todo = nil
-		for _, e := range experiments.AllWithExtensions() {
-			if e.ID == *id {
-				todo = []experiments.Experiment{e}
-				break
-			}
-		}
-		if todo == nil {
+		e, err := experiments.ByID(*id)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: unknown experiment id %q\n", *id)
 			os.Exit(1)
 		}
+		todo = []experiments.Experiment{e}
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

@@ -27,16 +27,11 @@ func serveCheck(baseURL, id string, opts experiments.Options) error {
 	if !ok {
 		return fmt.Errorf("serve-check wants a scenario-backed experiment id (scn-<name>), got %q", id)
 	}
-	var run func(experiments.Options) (experiments.Report, error)
-	for _, e := range experiments.AllWithExtensions() {
-		if e.ID == id {
-			run = e.Run
-		}
-	}
-	if run == nil {
+	e, err := experiments.ByID(id)
+	if err != nil {
 		return fmt.Errorf("unknown experiment id %q", id)
 	}
-	rep, err := run(opts)
+	rep, err := e.Run(opts)
 	if err != nil {
 		return err
 	}

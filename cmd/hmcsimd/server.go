@@ -51,7 +51,6 @@ func (c serverConfig) withDefaults() serverConfig {
 // content-addressed result cache, async jobs with progress, sweep
 // expansion, admission control.
 type server struct {
-	cfg   serverConfig
 	cache *simcache.Cache
 	jobs  *runner.Jobs
 	sem   chan struct{}
@@ -67,7 +66,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	return &server{
-		cfg:     cfg,
 		cache:   cache,
 		jobs:    runner.NewJobs(cfg.jobWorkers, cfg.jobQueue, 0),
 		sem:     make(chan struct{}, cfg.maxConcurrent),

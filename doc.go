@@ -18,17 +18,19 @@
 //   - internal/runner: the experiment-execution layer — a
 //     context-cancellable worker pool, deterministic per-cell
 //     seeding, progress callbacks, and text/CSV/JSON result sinks
-//   - internal/core: public facade — Characterizer, Measure, the
-//     experiment registry and the paper's design insights
+//   - internal/core: public facade — Characterizer, Measure and the
+//     paper's design insights
 //   - internal/hmc: the device model (geometry, packet protocol,
 //     address mapping, links, quadrants, vaults, banks, refresh,
-//     thermal failure)
+//     the thermal-shutdown latch)
 //   - internal/fpga: the host-side HMC controller pipeline (Fig. 14)
 //   - internal/gups: the GUPS traffic generator (full-scale,
 //     small-scale, stream)
 //   - internal/thermal, internal/power, internal/cooling: the RC
-//     thermal network, power model and Table III cooling rig
-//   - internal/experiments: one runner per table/figure
+//     thermal network with the paper's ~85/75 °C read/write failure
+//     thresholds, power model and Table III cooling rig
+//   - internal/experiments: the experiment registry, one runner per
+//     table/figure
 //   - cmd/figures, cmd/hmcsim, cmd/gups: command-line tools
 //   - examples/: runnable walkthroughs (quickstart, streaming,
 //     pimthermal, addrmap)

@@ -63,7 +63,6 @@ type Network struct {
 	p     Params
 	topo  Topology
 	cubes []*hmc.Device
-	amap  *hmc.AddressMap
 	// hops[i] carries traffic between node i-1 and node i, where node
 	// 0 is the host; the ring adds hops[n] from the last cube back to
 	// the host.
@@ -71,8 +70,6 @@ type Network struct {
 	failed []bool
 
 	freeFlights *flight
-
-	accesses uint64
 }
 
 // flight carries one access across the network: it is its own engine
@@ -157,7 +154,7 @@ func NewNetwork(eng *sim.Engine, n int, topo Topology, p Params) (*Network, erro
 	if err != nil {
 		return nil, err
 	}
-	nw := &Network{eng: eng, p: p, topo: topo, amap: amap, failed: make([]bool, n)}
+	nw := &Network{eng: eng, p: p, topo: topo, failed: make([]bool, n)}
 	for i := 0; i < n; i++ {
 		dev, err := hmc.NewDevice(eng, p.Device, amap)
 		if err != nil {
@@ -281,7 +278,6 @@ func (n *Network) Access(now sim.Time, addr uint64, size int, write bool, done f
 	}
 	f.res.Hops = hopsCount
 	f.dir = dir
-	n.accesses++
 
 	f.req = hmc.Request{Addr: local, Size: size, Write: write}
 	reqSer := n.p.Device.SerializationTime(f.req.WireBytesRequest())
@@ -309,12 +305,11 @@ func (n *Network) Access(now sim.Time, addr uint64, size int, write bool, done f
 
 // LoadResult aggregates a network load run.
 type LoadResult struct {
-	Accesses  uint64
-	DataGBps  float64
+	DataGBps float64
+	// LatencyNs summarizes the accesses that completed without error.
 	LatencyNs stats.Summary
 	// PerCubeLatencyNs indexes mean latency by cube distance.
 	PerCubeLatencyNs []float64
-	Errors           uint64
 }
 
 // RunUniformLoad drives random reads across the whole global address
@@ -334,10 +329,7 @@ func RunUniformLoad(n *Network, window int, size int, duration sim.Duration, see
 	var onDone func(Result)
 	onDone = func(r Result) {
 		inFlight--
-		if r.Err {
-			res.Errors++
-		} else {
-			res.Accesses++
+		if !r.Err {
 			dataBytes += uint64(size)
 			lat := r.Latency().Nanoseconds()
 			res.LatencyNs.Add(lat)

@@ -148,11 +148,8 @@ func TestUniformLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := RunUniformLoad(nw, 64, 128, 300*sim.Microsecond, 1)
-	if res.Errors != 0 {
-		t.Fatalf("%d errors under healthy load", res.Errors)
-	}
-	if res.Accesses < 1000 {
-		t.Fatalf("only %d accesses completed", res.Accesses)
+	if n := res.LatencyNs.N(); n < 1000 {
+		t.Fatalf("only %d accesses completed", n)
 	}
 	if res.DataGBps <= 0 {
 		t.Fatal("no bandwidth measured")

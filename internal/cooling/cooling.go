@@ -53,10 +53,6 @@ func ByName(name string) (Config, error) {
 	return Config{}, fmt.Errorf("cooling: unknown configuration %q", name)
 }
 
-// BackplaneFanW is the electrical power of the two backplane fans at
-// the configuration's supply point (4.5 W at full 12 V per the paper).
-func (c Config) BackplaneFanW() float64 { return c.FanVoltage * c.FanCurrent }
-
 // anchors are the Table III points ordered by ascending resistance,
 // established once at package init (Configs() already returns Cfg1..4
 // in that order; the init check keeps the invariant honest if the

@@ -59,15 +59,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestBackplaneFanPower(t *testing.T) {
-	// Cfg1: 12 V x 0.36 A = 4.32 W, close to the paper's "total
-	// measured power of 4.5 W with 12 V".
-	c, _ := ByName("Cfg1")
-	if w := c.BackplaneFanW(); math.Abs(w-4.32) > 0.01 {
-		t.Fatalf("Cfg1 fan power = %.2f W", w)
-	}
-}
-
 func TestPowerForResistanceAnchors(t *testing.T) {
 	for _, c := range Configs() {
 		got := PowerForResistance(c.SharedResistanceKPerW)

@@ -1,10 +1,10 @@
 // Package core is the top-level API of hmcsim: the characterization
 // methodology that is the paper's primary contribution, packaged for
-// reuse. It exposes (1) the full table/figure reproduction registry,
-// (2) a one-call Measure for custom workloads that couples the
-// performance, thermal and power models the way the paper's
-// experimental rig coupled its FPGA, thermal camera and power
-// analyzer, and (3) the paper's concluding design insights as data.
+// reuse. It exposes (1) a one-call Measure for custom workloads that
+// couples the performance, thermal and power models the way the
+// paper's experimental rig coupled its FPGA, thermal camera and power
+// analyzer, and (2) the paper's concluding design insights as data.
+// The table/figure registry lives in internal/experiments.
 package core
 
 import (
@@ -35,19 +35,6 @@ func New(opts experiments.Options) *Characterizer {
 		thermal: thermal.DefaultModel(),
 		power:   power.DefaultModel(),
 	}
-}
-
-// Experiments lists every reproducible table and figure.
-func (c *Characterizer) Experiments() []experiments.Experiment { return experiments.All() }
-
-// Reproduce runs one registered experiment by id ("table1",
-// "figure6", ...).
-func (c *Characterizer) Reproduce(id string) (experiments.Report, error) {
-	e, err := experiments.ByID(id)
-	if err != nil {
-		return experiments.Report{}, err
-	}
-	return e.Run(c.opts)
 }
 
 // Workload describes a custom measurement target.
@@ -98,9 +85,6 @@ type Measurement struct {
 	// Thermal holds one point per cooling configuration.
 	Thermal []ThermalPoint
 }
-
-// RawGBps is shorthand for the measured raw bandwidth.
-func (m Measurement) RawGBps() float64 { return m.Perf.RawGBps }
 
 // ReadLatency is shorthand for the read-latency record (ns): exact
 // mean/min/max and tail percentiles; nil when no reads completed in

@@ -16,8 +16,8 @@ func TestMeasureReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.RawGBps() < 15 || m.RawGBps() > 25 {
-		t.Fatalf("ro bandwidth = %.2f GB/s out of band", m.RawGBps())
+	if m.Perf.RawGBps < 15 || m.Perf.RawGBps > 25 {
+		t.Fatalf("ro bandwidth = %.2f GB/s out of band", m.Perf.RawGBps)
 	}
 	if len(m.Thermal) != 4 {
 		t.Fatalf("%d thermal points, want 4", len(m.Thermal))
@@ -61,8 +61,8 @@ func TestMeasurePatternRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vault.RawGBps() >= full.RawGBps()*0.8 {
-		t.Fatalf("single-vault (%.2f) not limited vs full (%.2f)", vault.RawGBps(), full.RawGBps())
+	if vault.Perf.RawGBps >= full.Perf.RawGBps*0.8 {
+		t.Fatalf("single-vault (%.2f) not limited vs full (%.2f)", vault.Perf.RawGBps, full.Perf.RawGBps)
 	}
 }
 
@@ -84,23 +84,6 @@ func TestMeasureStream(t *testing.T) {
 	}
 	if !res.Verified || res.LatencyNs.N() != 8 {
 		t.Fatalf("stream result %+v", res)
-	}
-}
-
-func TestReproduceAndRegistry(t *testing.T) {
-	c := quickChar()
-	if got := len(c.Experiments()); got != 17 {
-		t.Fatalf("%d experiments, want 17", got)
-	}
-	rep, err := c.Reproduce("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ID != "table1" || len(rep.Grids) == 0 {
-		t.Fatalf("bad report %+v", rep)
-	}
-	if _, err := c.Reproduce("nope"); err == nil {
-		t.Error("unknown id accepted")
 	}
 }
 

@@ -18,15 +18,13 @@ import (
 // Timing holds the DDR4 channel timing parameters (DDR4-2400-ish,
 // JESD79-4 speed bin values rounded to common datasheet numbers).
 type Timing struct {
-	// DataRateMTps is mega-transfers per second (2400 for DDR4-2400);
-	// the data bus moves 8 bytes per transfer.
-	DataRateMTps float64
 	// TRCD is ACT-to-column delay, TCL the CAS latency, TRP the
 	// precharge time, TRAS the minimum row-open time.
 	TRCD, TCL, TRP, TRAS sim.Duration
 	// TCCDL is the back-to-back column access spacing within a bank
-	// group (the long one; cross-group accesses use TCCDS).
-	TCCDL, TCCDS sim.Duration
+	// group (tCCD_L, the long one). The model spaces every
+	// back-to-back burst of an access by it.
+	TCCDL sim.Duration
 	// TBurst is the data-bus occupancy of one 64 B burst (BL8).
 	TBurst sim.Duration
 	// CmdOverhead is per-command command/address bus occupancy.
@@ -36,15 +34,13 @@ type Timing struct {
 // DDR4_2400 returns the default timing set.
 func DDR4_2400() Timing {
 	return Timing{
-		DataRateMTps: 2400,
-		TRCD:         sim.FromNanoseconds(13.75),
-		TCL:          sim.FromNanoseconds(13.75),
-		TRP:          sim.FromNanoseconds(13.75),
-		TRAS:         sim.FromNanoseconds(32),
-		TCCDL:        sim.FromNanoseconds(5),
-		TCCDS:        sim.FromNanoseconds(3.33),
-		TBurst:       sim.FromNanoseconds(64.0 / 19.2), // 64 B at 19.2 GB/s
-		CmdOverhead:  sim.FromNanoseconds(0.83),
+		TRCD:        sim.FromNanoseconds(13.75),
+		TCL:         sim.FromNanoseconds(13.75),
+		TRP:         sim.FromNanoseconds(13.75),
+		TRAS:        sim.FromNanoseconds(32),
+		TCCDL:       sim.FromNanoseconds(5),
+		TBurst:      sim.FromNanoseconds(64.0 / 19.2), // 64 B at 19.2 GB/s
+		CmdOverhead: sim.FromNanoseconds(0.83),
 	}
 }
 
@@ -89,9 +85,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PeakGBps is the raw data-bus bandwidth (19.2 GB/s at 2400 MT/s).
-func (c Config) PeakGBps() float64 { return c.Timing.DataRateMTps * 8 / 1000 }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Banks <= 0 || c.BankGroups <= 0 || c.Banks%c.BankGroups != 0 {
@@ -114,7 +107,6 @@ type ddrBank struct {
 
 // Channel is the DDR4 channel model.
 type Channel struct {
-	eng   *sim.Engine
 	cfg   Config
 	banks []ddrBank
 	bus   sim.Server // shared data bus
@@ -141,25 +133,12 @@ func NewChannel(eng *sim.Engine, cfg Config) (*Channel, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("ddr: nil engine")
 	}
-	return &Channel{eng: eng, cfg: cfg, banks: make([]ddrBank, cfg.Banks),
+	return &Channel{cfg: cfg, banks: make([]ddrBank, cfg.Banks),
 		deliver: sim.NewDeliverer[Result](eng)}, nil
 }
 
-// MustChannel is NewChannel that panics on error.
-func MustChannel(eng *sim.Engine, cfg Config) *Channel {
-	ch, err := NewChannel(eng, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return ch
-}
-
-// Config returns the channel configuration.
-func (ch *Channel) Config() Config { return ch.cfg }
-
-// decode maps an address to (bank, row, column) with bank-group
-// interleaving on the low burst bits: consecutive bursts alternate
-// bank groups so tCCD_S applies to streams.
+// decode maps an address to (bank, row) with bank interleaving on the
+// low burst bits: consecutive bursts go to consecutive banks.
 func (ch *Channel) decode(addr uint64) (bank int, row uint64) {
 	addr %= ch.cfg.ChannelCapacity
 	burst := addr / uint64(ch.cfg.BurstBytes)
@@ -173,7 +152,6 @@ func (ch *Channel) decode(addr uint64) (bank int, row uint64) {
 type Result struct {
 	Submit  sim.Time
 	Deliver sim.Time
-	RowHit  bool
 }
 
 // Latency is the access round trip.
@@ -200,9 +178,7 @@ func (ch *Channel) Access(now sim.Time, addr uint64, size int, write bool, done 
 
 	// Row state machine.
 	var access sim.Duration
-	hit := !ch.cfg.ClosedPage && b.hasOpen && b.openRow == row
-	res.RowHit = hit
-	if hit {
+	if !ch.cfg.ClosedPage && b.hasOpen && b.openRow == row {
 		ch.rowHits++
 		access = t.TCL
 	} else {
@@ -248,13 +224,4 @@ func (ch *Channel) Access(now sim.Time, addr uint64, size int, write bool, done 
 // Stats reports access counts and hit rates.
 func (ch *Channel) Stats() (accesses, rowHits, rowMisses, dataBytes uint64) {
 	return ch.accesses, ch.rowHits, ch.rowMisses, ch.dataBytes
-}
-
-// HitRate reports the fraction of accesses that hit an open row.
-func (ch *Channel) HitRate() float64 {
-	tot := ch.rowHits + ch.rowMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(ch.rowHits) / float64(tot)
 }

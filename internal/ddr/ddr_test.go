@@ -27,16 +27,24 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestPeakBandwidth(t *testing.T) {
-	// DDR4-2400 on a 64-bit bus: 19.2 GB/s.
-	if got := DefaultConfig().PeakGBps(); got != 19.2 {
-		t.Fatalf("peak = %v GB/s, want 19.2", got)
+func newChannel(t *testing.T, eng *sim.Engine, cfg Config) *Channel {
+	t.Helper()
+	ch, err := NewChannel(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ch
+}
+
+// rowHits reports the channel's open-row hit and miss counts.
+func rowHits(ch *Channel) (hits, misses uint64) {
+	_, hits, misses, _ = ch.Stats()
+	return hits, misses
 }
 
 func TestSingleAccessLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := MustChannel(eng, DefaultConfig())
+	ch := newChannel(t, eng, DefaultConfig())
 	var res Result
 	ch.Access(0, 0, 64, false, func(r Result) { res = r })
 	eng.Run()
@@ -45,36 +53,35 @@ func TestSingleAccessLatency(t *testing.T) {
 	if lat < 45 || lat > 90 {
 		t.Fatalf("cold access latency = %.1f ns, want ~60", lat)
 	}
-	if res.RowHit {
-		t.Fatal("first access reported a row hit")
+	if hits, misses := rowHits(ch); hits != 0 || misses != 1 {
+		t.Fatalf("first access: %d hits, %d misses, want one miss", hits, misses)
 	}
 }
 
 func TestRowHitFasterThanMiss(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := MustChannel(eng, DefaultConfig())
-	var first, second, third Result
-	ch.Access(0, 0, 64, false, func(r Result) { first = r })
+	ch := newChannel(t, eng, DefaultConfig())
+	var second, third Result
+	ch.Access(0, 0, 64, false, func(Result) {})
 	eng.Run()
 	// Same row: the burst offset within one row of the same bank is
 	// banks*burst bytes apart under low-order interleave.
 	stride := uint64(DefaultConfig().Banks * DefaultConfig().BurstBytes)
 	ch.Access(eng.Now(), stride*2, 64, false, func(r Result) { second = r })
 	eng.Run()
+	if hits, _ := rowHits(ch); hits != 1 {
+		t.Fatal("same-row access missed")
+	}
 	// Different row, same bank.
 	rowSpan := stride * uint64(DefaultConfig().PageBytes/DefaultConfig().BurstBytes)
 	ch.Access(eng.Now(), rowSpan*3, 64, false, func(r Result) { third = r })
 	eng.Run()
-	if !second.RowHit {
-		t.Fatal("same-row access missed")
-	}
-	if third.RowHit {
+	if hits, misses := rowHits(ch); hits != 1 || misses != 2 {
 		t.Fatal("cross-row access hit")
 	}
 	if second.Latency() >= third.Latency() {
 		t.Fatalf("row hit (%v) not faster than conflict (%v)", second.Latency(), third.Latency())
 	}
-	_ = first
 }
 
 func TestClosedPageEqualizes(t *testing.T) {
@@ -146,7 +153,7 @@ func TestDDRLatencyVsHMC(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ClosedPage = true
 	eng := sim.NewEngine()
-	ch := MustChannel(eng, cfg)
+	ch := newChannel(t, eng, cfg)
 	var res Result
 	ch.Access(0, 0, 64, false, func(r Result) { res = r })
 	eng.Run()
@@ -172,7 +179,7 @@ func TestChannelErrors(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	ch := MustChannel(eng, DefaultConfig())
+	ch := newChannel(t, eng, DefaultConfig())
 	for i := 0; i < 10; i++ {
 		ch.Access(eng.Now(), uint64(i)*64, 64, i%2 == 0, func(Result) {})
 	}

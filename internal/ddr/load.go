@@ -16,8 +16,6 @@ type LoadConfig struct {
 	Linear bool
 	// Size is bytes per access (default one burst).
 	Size int
-	// Write issues writes instead of reads.
-	Write bool
 	// Window is the controller's outstanding-request budget
 	// (default 32 — a typical per-channel scheduler queue).
 	Window int
@@ -99,7 +97,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 				return
 			}
 			inFlight++
-			ch.Access(eng.Now(), next(), cfg.Size, cfg.Write, onDone)
+			ch.Access(eng.Now(), next(), cfg.Size, false, onDone)
 		}
 	}
 	eng.Schedule(0, pump)

@@ -119,9 +119,9 @@ func runReport[T interface{ Report() Report }](f func(Options) (T, error)) func(
 	}
 }
 
-// ByID finds an experiment.
+// ByID finds an experiment in the full registry, extensions included.
 func ByID(id string) (Experiment, error) {
-	for _, e := range All() {
+	for _, e := range AllWithExtensions() {
 		if e.ID == id {
 			return e, nil
 		}

@@ -28,8 +28,17 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("missing experiment %s", id)
 		}
 	}
-	if _, err := ByID("figure7"); err != nil {
-		t.Error(err)
+	full := map[string]bool{}
+	for _, e := range AllWithExtensions() {
+		if full[e.ID] {
+			t.Errorf("duplicate id %s in the full registry", e.ID)
+		}
+		full[e.ID] = true
+	}
+	for _, id := range []string{"figure7", "scn-uniform"} {
+		if e, err := ByID(id); err != nil || e.ID != id {
+			t.Errorf("ByID(%q) = %q, %v", id, e.ID, err)
+		}
 	}
 	if _, err := ByID("figure99"); err == nil {
 		t.Error("unknown id accepted")

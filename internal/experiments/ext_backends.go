@@ -34,9 +34,7 @@ func Backends() []Experiment {
 type backendCell struct {
 	shape   string
 	backend string
-	raw     float64
 	data    float64
-	mrps    float64
 	latNs   float64
 	latN    uint64
 }
@@ -94,9 +92,7 @@ func ExtBackends(o Options) (*ExtBackendsData, error) {
 		}
 		return backendCell{
 			shape: shape, backend: backend,
-			raw:   res.Total.RawGBps,
 			data:  res.Total.DataGBps,
-			mrps:  res.Total.MRPS,
 			latN:  res.Total.ReadHistNs.N(),
 			latNs: res.Total.ReadHistNs.Mean(),
 		}, nil

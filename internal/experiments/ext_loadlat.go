@@ -55,7 +55,6 @@ var loadLatConfigs = []loadLatConfig{
 
 // loadLatPoint is one measured cell of the sweep.
 type loadLatPoint struct {
-	PerPortMRPS  float64 // requested arrival rate per port
 	OfferedMRPS  float64 // requested aggregate rate
 	RealizedMRPS float64 // aggregate rate the rounded pacing interval realizes
 	AchievedMRPS float64 // completed requests per second
@@ -106,7 +105,6 @@ func ExtLoadLat(o Options, c loadLatConfig) (*ExtLoadLatData, error) {
 			return loadLatPoint{}, err
 		}
 		p := loadLatPoint{
-			PerPortMRPS:  rate,
 			OfferedMRPS:  rate * float64(c.ports),
 			RealizedMRPS: res.Total.OfferedMRPS,
 			AchievedMRPS: res.Total.MRPS,

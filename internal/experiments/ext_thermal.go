@@ -64,7 +64,6 @@ var thermalCoolings = []string{"Cfg1", "Cfg4"}
 // thermalSweepPoint is one measured (cooling, rate) cell.
 type thermalSweepPoint struct {
 	Cooling      string
-	PerPortMRPS  float64
 	OfferedMRPS  float64
 	AchievedMRPS float64
 	RawGBps      float64
@@ -158,7 +157,6 @@ func ExtThermalSweep(o Options, c thermalSweepConfig) (*ExtThermalSweepData, err
 		}
 		p := summarize(res)
 		p.Cooling = cooling
-		p.PerPortMRPS = rate
 		p.OfferedMRPS = rate * float64(c.ports)
 		return p, nil
 	})

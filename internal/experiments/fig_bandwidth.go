@@ -124,7 +124,6 @@ func (d *Figure7Data) Report() Report {
 // Figure8Data holds the size sweep: bandwidth bars + MRPS lines.
 type Figure8Data struct {
 	Patterns []workloads.Pattern
-	Sizes    []int
 	// BW[pattern][size] and MRPS[pattern][size].
 	BW   map[string]map[int]float64
 	MRPS map[string]map[int]float64
@@ -150,9 +149,9 @@ func Figure8(o Options) (*Figure8Data, error) {
 		return nil, err
 	}
 	d := &Figure8Data{
-		Patterns: pats, Sizes: sizes,
-		BW:   map[string]map[int]float64{},
-		MRPS: map[string]map[int]float64{},
+		Patterns: pats,
+		BW:       map[string]map[int]float64{},
+		MRPS:     map[string]map[int]float64{},
 	}
 	for _, c := range cells {
 		if d.BW[c.pat] == nil {

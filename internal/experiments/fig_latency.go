@@ -148,7 +148,6 @@ func (d *Figure15Data) Report() Report {
 // Figure16Data holds the high-load latency sweep.
 type Figure16Data struct {
 	Patterns []string
-	Sizes    []int
 	// LatencyUs/BW[pattern][size].
 	LatencyUs map[string]map[int]float64
 	BW        map[string]map[int]float64
@@ -173,7 +172,7 @@ func Figure16(o Options) (*Figure16Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Figure16Data{Sizes: sizes, LatencyUs: map[string]map[int]float64{}, BW: map[string]map[int]float64{}}
+	d := &Figure16Data{LatencyUs: map[string]map[int]float64{}, BW: map[string]map[int]float64{}}
 	for _, p := range pats {
 		d.Patterns = append(d.Patterns, p.Name)
 	}

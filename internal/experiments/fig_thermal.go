@@ -61,8 +61,6 @@ type Figure9Data struct {
 	// state at any load, which is a different failure than tripping a
 	// shutdown threshold and is rendered distinctly.
 	Runaway map[string]bool
-	// SettleSeconds confirms the paper's 200 s stabilization window.
-	SettleSeconds float64
 }
 
 // Figure9 reproduces the temperature/bandwidth sweep across cooling
@@ -75,11 +73,10 @@ func Figure9(o Options) (*Figure9Data, error) {
 	tm := thermal.DefaultModel()
 	pm := power.DefaultModel()
 	d := &Figure9Data{
-		Cells:         cells,
-		TempC:         map[gups.ReqType]map[string]map[string]float64{},
-		ConfigFailed:  map[gups.ReqType]map[string]bool{},
-		Runaway:       map[string]bool{},
-		SettleSeconds: 200,
+		Cells:        cells,
+		TempC:        map[gups.ReqType]map[string]map[string]float64{},
+		ConfigFailed: map[gups.ReqType]map[string]bool{},
+		Runaway:      map[string]bool{},
 	}
 	for _, p := range workloads.Standard() {
 		d.Patterns = append(d.Patterns, p.Name)

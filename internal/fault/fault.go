@@ -277,20 +277,8 @@ func expDraw(rng *sim.RNG, mean sim.Duration) sim.Duration {
 // Inner returns the decorated backend (decorator-stack walking).
 func (inj *Injector) Inner() mem.Backend { return inj.inner }
 
-// Plan returns the normalized plan in effect (RetryCost resolved).
-func (inj *Injector) Plan() Plan { return inj.plan }
-
-// Down reports whether a zone is currently in an outage window.
-func (inj *Injector) Down(z int) bool {
-	return z >= 0 && z < len(inj.zones) && inj.zones[z].down
-}
-
 // Injected counts transient link retries injected so far.
 func (inj *Injector) Injected() uint64 { return inj.injected }
-
-// Rejected counts accesses the injector refused locally during outage
-// windows; the inner backend never saw them.
-func (inj *Injector) Rejected() uint64 { return inj.rejected }
 
 // Outages counts outage windows entered (scripted and stochastic).
 func (inj *Injector) Outages() uint64 { return inj.outages }

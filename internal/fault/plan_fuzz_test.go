@@ -68,7 +68,7 @@ func FuzzFaultPlan(f *testing.F) {
 			port.Submit(mem.Request{Addr: 0, Size: 64}, resubmit)
 			eng.RunUntil(horizon)
 			eng.Run()
-			return inj.Injected(), inj.Rejected(), inj.Outages()
+			return inj.Injected(), inj.Counters().Errors, inj.Outages()
 		}
 		i1, r1, o1 := run()
 		i2, r2, o2 := run()

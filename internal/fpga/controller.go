@@ -139,9 +139,6 @@ func NewController(eng *sim.Engine, dev *hmc.Device, p Params) (*Controller, err
 // Params returns the controller configuration.
 func (c *Controller) Params() Params { return c.p }
 
-// Device returns the attached device.
-func (c *Controller) Device() *hmc.Device { return c.dev }
-
 // PortLink maps a GUPS port to the link (hmc_node) it belongs to:
 // ports alternate between the two nodes, five on one and four on the
 // other.

@@ -63,8 +63,7 @@ func (c Config) withDefaults() Config {
 
 // Result aggregates a GUPS run.
 type Result struct {
-	Config  Config
-	Elapsed sim.Duration // measurement window
+	Config Config
 
 	Reads  uint64
 	Writes uint64
@@ -233,7 +232,6 @@ func Run(cfg Config) (Result, error) {
 	secs := cfg.Measure.Seconds()
 	res := Result{
 		Config:      cfg,
-		Elapsed:     cfg.Measure,
 		Reads:       mon.Reads,
 		Writes:      mon.Writes,
 		RawGBps:     float64(mon.RawBytes) / secs / 1e9,

@@ -154,7 +154,6 @@ type Arrivals interface {
 // (the write FIFO), and the backend's flow-control stop signal. The
 // same issue loop drives every backend the mem package adapts.
 type Port struct {
-	id   int
 	cfg  PortConfig
 	eng  *sim.Engine
 	port mem.Port
@@ -172,7 +171,6 @@ type Port struct {
 	rmwPending  *sim.Queue[uint64] // addresses awaiting their RMW write
 	nextIssue   sim.Time
 	wakePending bool // a retry event or admission callback is armed
-	stopped     bool
 
 	// Reusable callback values, built once in NewPort so the issue
 	// loop never allocates a closure or method value per request.
@@ -192,7 +190,6 @@ type Port struct {
 func NewPort(id int, b mem.Backend, cfg PortConfig) *Port {
 	lim := b.Limits()
 	p := &Port{
-		id:   id,
 		cfg:  cfg,
 		eng:  b.Engine(),
 		port: b.Port(id),
@@ -246,9 +243,6 @@ func (p *Port) wakeUp() {
 
 // Start arms the port's issue loop.
 func (p *Port) Start() { p.eng.ScheduleHandler(0, p) }
-
-// Stop halts further request generation.
-func (p *Port) Stop() { p.stopped = true }
 
 // SetMeasuring toggles monitoring; the runners switch it on after
 // warmup.
@@ -310,9 +304,6 @@ func (p *Port) nextOp() (addr uint64, write, ok bool) {
 // event/callback entry points (Fire, wakeUp) do, so a tryIssue driven
 // by a completion cannot shadow an already-armed pacing event.
 func (p *Port) tryIssue() {
-	if p.stopped {
-		return
-	}
 	now := p.eng.Now()
 	if now < p.nextIssue {
 		p.armRetry(p.nextIssue)

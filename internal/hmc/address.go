@@ -58,17 +58,12 @@ const AddressBits = 34
 
 // Location is the structural decode of a physical address.
 type Location struct {
-	Quadrant        int    // 0..Quadrants-1
-	VaultInQuadrant int    // 0..VaultsPerQuadrant-1
-	Vault           int    // global vault id = Quadrant*VaultsPerQuadrant + VaultInQuadrant
-	Bank            int    // bank within the vault
-	Row             uint64 // DRAM row within the bank (256 B page)
-	BlockOffset     uint64 // byte offset of the 16 B element inside the max block
+	Quadrant    int    // 0..Quadrants-1
+	Vault       int    // global vault id = Quadrant*VaultsPerQuadrant + vault-in-quadrant
+	Bank        int    // bank within the vault
+	Row         uint64 // DRAM row within the bank (256 B page)
+	BlockOffset uint64 // byte offset of the 16 B element inside the max block
 }
-
-// GlobalBank returns a dense bank index across the whole device,
-// suitable for per-bank bookkeeping arrays.
-func (l Location) GlobalBank(g Geometry) int { return l.Vault*g.BanksPerVault + l.Bank }
 
 // AddressMap implements the low-order-interleaved mapping of Figure 3
 // for a geometry and max block size. Field layout, low to high:
@@ -97,7 +92,6 @@ type AddressMap struct {
 	bankBits  uint
 
 	offMask   uint64
-	vqMask    uint64
 	qMask     uint64
 	vaultMask uint64
 	bankMask  uint64
@@ -140,7 +134,6 @@ func NewAddressMap(g Geometry, maxBlock MaxBlockSize) (*AddressMap, error) {
 
 	mask := func(width uint) uint64 { return (uint64(1) << width) - 1 }
 	m.offMask = mask(offsetBits)
-	m.vqMask = mask(vqBits)
 	m.qMask = mask(qBits)
 	m.vaultMask = mask(vqBits + qBits)
 	m.bankMask = mask(m.bankBits)
@@ -172,9 +165,6 @@ func MustAddressMap(g Geometry, maxBlock MaxBlockSize) *AddressMap {
 // Geometry returns the geometry the map was built for.
 func (m *AddressMap) Geometry() Geometry { return m.geo }
 
-// MaxBlock returns the configured maximum block size.
-func (m *AddressMap) MaxBlock() MaxBlockSize { return m.maxBlock }
-
 // CapacityMask returns the significant address bits (addresses are
 // taken modulo device capacity, discarding the ignored high bits of
 // the 34-bit field).
@@ -184,11 +174,10 @@ func (m *AddressMap) CapacityMask() uint64 { return m.addrMask }
 func (m *AddressMap) Decode(addr uint64) Location {
 	a := addr & m.addrMask
 	loc := Location{
-		Quadrant:        int((a >> m.qShift) & m.qMask),
-		VaultInQuadrant: int((a >> m.vqShift) & m.vqMask),
-		Vault:           int((a >> m.vqShift) & m.vaultMask),
-		Bank:            int((a >> m.bankShift) & m.bankMask),
-		BlockOffset:     ((a >> 4) & m.offMask) * elementBytes,
+		Quadrant:    int((a >> m.qShift) & m.qMask),
+		Vault:       int((a >> m.vqShift) & m.vaultMask),
+		Bank:        int((a >> m.bankShift) & m.bankMask),
+		BlockOffset: ((a >> 4) & m.offMask) * elementBytes,
 	}
 	// A 256 B row spans several max blocks in the same bank; the row
 	// index therefore divides out the blocks-per-row factor.
@@ -200,9 +189,10 @@ func (m *AddressMap) Decode(addr uint64) Location {
 	return loc
 }
 
-// GlobalBank is Decode(addr).GlobalBank(m.Geometry()) without building
-// the Location: the per-bank admission index the controller consults
-// on every request.
+// GlobalBank returns a dense bank index across the whole device,
+// Vault*BanksPerVault + Bank of Decode(addr), without building the
+// Location: the per-bank admission index the controller consults on
+// every request.
 func (m *AddressMap) GlobalBank(addr uint64) int {
 	a := addr & m.addrMask
 	vault := (a >> m.vqShift) & m.vaultMask

@@ -25,12 +25,11 @@ func referenceDecode(g Geometry, maxBlock MaxBlockSize, addr uint64) Location {
 		return (a >> shift) & ((1 << uint(width)) - 1)
 	}
 	loc := Location{
-		VaultInQuadrant: int(field(vqShift, vqBits)),
-		Quadrant:        int(field(qShift, qBits)),
-		Bank:            int(field(bankShift, bankBits)),
-		BlockOffset:     (a >> 4 & ((1 << uint(offsetBits)) - 1)) * elementBytes,
+		Quadrant:    int(field(qShift, qBits)),
+		Bank:        int(field(bankShift, bankBits)),
+		BlockOffset: (a >> 4 & ((1 << uint(offsetBits)) - 1)) * elementBytes,
 	}
-	loc.Vault = loc.Quadrant*g.VaultsPerQuadrant() + loc.VaultInQuadrant
+	loc.Vault = loc.Quadrant*g.VaultsPerQuadrant() + int(field(vqShift, vqBits))
 	// A 256 B row spans several max blocks in the same bank; the row
 	// index therefore divides out the blocks-per-row factor.
 	blocksPerRow := uint64(g.PageBytes) / uint64(maxBlock)
@@ -74,40 +73,40 @@ func FuzzAddressRoundTrip(f *testing.F) {
 			m := c.m
 			g := m.Geometry()
 			loc := m.Decode(addr)
-			if want := referenceDecode(g, m.MaxBlock(), addr); loc != want {
-				t.Fatalf("%v/%d/%dB page: Decode(%#x) = %+v, reference %+v", g.Gen, m.MaxBlock(), g.PageBytes, addr, loc, want)
+			if want := referenceDecode(g, m.maxBlock, addr); loc != want {
+				t.Fatalf("%v/%d/%dB page: Decode(%#x) = %+v, reference %+v", g.Gen, m.maxBlock, g.PageBytes, addr, loc, want)
 			}
-			if gb, want := m.GlobalBank(addr), loc.GlobalBank(g); gb != want {
-				t.Fatalf("%v/%d: GlobalBank(%#x) = %d, Decode gives %d", g.Gen, m.MaxBlock(), addr, gb, want)
+			if gb, want := m.GlobalBank(addr), loc.Vault*g.BanksPerVault+loc.Bank; gb != want {
+				t.Fatalf("%v/%d: GlobalBank(%#x) = %d, Decode gives %d", g.Gen, m.maxBlock, addr, gb, want)
 			}
 			if loc.Vault < 0 || loc.Vault >= g.Vaults {
-				t.Fatalf("%v/%d: vault %d out of range for %#x", g.Gen, m.MaxBlock(), loc.Vault, addr)
+				t.Fatalf("%v/%d: vault %d out of range for %#x", g.Gen, m.maxBlock, loc.Vault, addr)
 			}
 			if loc.Bank < 0 || loc.Bank >= g.BanksPerVault {
-				t.Fatalf("%v/%d: bank %d out of range for %#x", g.Gen, m.MaxBlock(), loc.Bank, addr)
+				t.Fatalf("%v/%d: bank %d out of range for %#x", g.Gen, m.maxBlock, loc.Bank, addr)
 			}
 			if loc.Quadrant != loc.Vault/g.VaultsPerQuadrant() {
-				t.Fatalf("%v/%d: quadrant %d inconsistent with vault %d", g.Gen, m.MaxBlock(), loc.Quadrant, loc.Vault)
+				t.Fatalf("%v/%d: quadrant %d inconsistent with vault %d", g.Gen, m.maxBlock, loc.Quadrant, loc.Vault)
 			}
-			if loc.BlockOffset >= uint64(m.MaxBlock()) {
-				t.Fatalf("%v/%d: block offset %d >= max block", g.Gen, m.MaxBlock(), loc.BlockOffset)
+			if loc.BlockOffset >= uint64(m.maxBlock) {
+				t.Fatalf("%v/%d: block offset %d >= max block", g.Gen, m.maxBlock, loc.BlockOffset)
 			}
-			if gb := loc.GlobalBank(g); gb < 0 || gb >= g.Vaults*g.BanksPerVault {
-				t.Fatalf("%v/%d: global bank %d out of range", g.Gen, m.MaxBlock(), gb)
+			if gb := m.GlobalBank(addr); gb < 0 || gb >= g.Vaults*g.BanksPerVault {
+				t.Fatalf("%v/%d: global bank %d out of range", g.Gen, m.maxBlock, gb)
 			}
 
 			enc := m.Encode(loc.Vault, loc.Bank, loc.Row)
 			if enc > m.CapacityMask() {
-				t.Fatalf("%v/%d: encoded %#x beyond capacity mask %#x", g.Gen, m.MaxBlock(), enc, m.CapacityMask())
+				t.Fatalf("%v/%d: encoded %#x beyond capacity mask %#x", g.Gen, m.maxBlock, enc, m.CapacityMask())
 			}
 			back := m.Decode(enc)
 			if back.Vault != loc.Vault || back.Bank != loc.Bank || back.Row != loc.Row {
 				t.Fatalf("%v/%d: round trip %#x -> (v%d b%d r%d) -> %#x -> (v%d b%d r%d)",
-					g.Gen, m.MaxBlock(), addr, loc.Vault, loc.Bank, loc.Row,
+					g.Gen, m.maxBlock, addr, loc.Vault, loc.Bank, loc.Row,
 					enc, back.Vault, back.Bank, back.Row)
 			}
 			if back.BlockOffset != 0 {
-				t.Fatalf("%v/%d: encode produced nonzero block offset %d", g.Gen, m.MaxBlock(), back.BlockOffset)
+				t.Fatalf("%v/%d: encode produced nonzero block offset %d", g.Gen, m.maxBlock, back.BlockOffset)
 			}
 		}
 	})

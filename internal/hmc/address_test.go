@@ -43,9 +43,9 @@ func TestFigure3FieldPositions(t *testing.T) {
 		}
 		// Two bits above the vault-in-quadrant field is the quadrant.
 		loc = m.Decode(1 << uint(c.vaultLow+2))
-		if loc.Quadrant != 1 || loc.VaultInQuadrant != 0 {
-			t.Errorf("block %d: bit %d -> quadrant %d vq %d, want quadrant 1 vq 0",
-				c.block, c.vaultLow+2, loc.Quadrant, loc.VaultInQuadrant)
+		if loc.Quadrant != 1 || loc.Vault != g.VaultsPerQuadrant() {
+			t.Errorf("block %d: bit %d -> quadrant %d vault %d, want quadrant 1 vault %d",
+				c.block, c.vaultLow+2, loc.Quadrant, loc.Vault, g.VaultsPerQuadrant())
 		}
 		// The bank field.
 		loc = m.Decode(1 << uint(c.bankLow))
@@ -186,8 +186,8 @@ func TestDecodeTotalCoverage(t *testing.T) {
 		return loc.Vault >= 0 && loc.Vault < g.Vaults &&
 			loc.Bank >= 0 && loc.Bank < g.BanksPerVault &&
 			loc.Quadrant >= 0 && loc.Quadrant < g.Quadrants &&
-			loc.Vault == loc.Quadrant*g.VaultsPerQuadrant()+loc.VaultInQuadrant &&
-			loc.GlobalBank(g) == loc.Vault*g.BanksPerVault+loc.Bank &&
+			loc.Vault/g.VaultsPerQuadrant() == loc.Quadrant &&
+			m.GlobalBank(addr) == loc.Vault*g.BanksPerVault+loc.Bank &&
 			loc.Row < g.BankBytes()/uint64(g.PageBytes)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {

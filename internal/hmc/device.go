@@ -173,16 +173,10 @@ func MustDevice(eng *sim.Engine, p Params, amap *AddressMap) *Device {
 // SetPagePolicy overrides the row policy (default ClosedPage).
 func (d *Device) SetPagePolicy(p PagePolicy) { d.policy = p }
 
-// PagePolicy reports the active row policy.
-func (d *Device) PagePolicy() PagePolicy { return d.policy }
-
 // AttachStorage connects a functional backing store so that reads
 // return previously written data (used by stream GUPS integrity
 // checks). Timing experiments leave it detached.
 func (d *Device) AttachStorage(s *Storage) { d.store = s }
-
-// Storage returns the attached functional store, or nil.
-func (d *Device) Storage() *Storage { return d.store }
 
 // AddressMap exposes the device's address decode.
 func (d *Device) AddressMap() *AddressMap { return d.amap }
@@ -198,9 +192,6 @@ func (d *Device) Counters() Counters { return d.counters }
 
 // Links reports the number of external links.
 func (d *Device) Links() int { return len(d.links) }
-
-// Failed reports whether the device is in thermal shutdown.
-func (d *Device) Failed() bool { return d.failed }
 
 // TriggerThermalFailure puts the device into shutdown: in-flight and
 // subsequent accesses complete with Err set (the head/tail of response
@@ -406,13 +397,9 @@ func (t *refreshTicker) Fire(e *sim.Engine) {
 // StartRefresh schedules staggered per-bank refresh activity until the
 // given horizon: each vault refreshes one bank every
 // RefreshInterval/BanksPerVault, occupying the bank for
-// RefreshLatency. hot selects the halved interval used above the
-// frequent-refresh temperature threshold.
-func (d *Device) StartRefresh(until sim.Time, hot bool) {
+// RefreshLatency.
+func (d *Device) StartRefresh(until sim.Time) {
 	interval := d.p.RefreshInterval / sim.Duration(d.geo.BanksPerVault)
-	if hot {
-		interval /= 2
-	}
 	if interval <= 0 {
 		return
 	}

@@ -51,7 +51,8 @@ type Params struct {
 	// bandwidth, covering token-return embedding, lane encoding and
 	// flow-control packets. Calibrated so read-only 128 B traffic
 	// lands at the paper's ~21-22 GB/s raw (Figure 7): two links at
-	// 15 GB/s/dir x 0.68 ~ 20.4 GB/s of response payload+overhead.
+	// 15 GB/s/dir x 0.78 = 23.4 GB/s of response payload+overhead
+	// before the per-packet LinkPacketGap.
 	LinkEfficiency float64
 
 	// LinkPacketGap is per-packet serialization overhead on a link
@@ -123,19 +124,9 @@ type Params struct {
 	BankQueueDepth int
 
 	// RefreshInterval is the per-bank average refresh spacing and
-	// RefreshLatency the per-refresh bank occupancy. Above
-	// RefreshHotThreshold the interval halves (temperature-triggered
-	// frequent refresh, Section I).
-	RefreshInterval     sim.Duration
-	RefreshLatency      sim.Duration
-	RefreshHotThreshold float64 // degrees Celsius
-
-	// FailureReadC and FailureWriteC are the junction temperatures at
-	// which the device signals imminent thermal shutdown: the paper
-	// measures ~85C for read-intensive and ~75C for write-significant
-	// workloads (Section IV-C).
-	FailureReadC  float64
-	FailureWriteC float64
+	// RefreshLatency the per-refresh bank occupancy.
+	RefreshInterval sim.Duration
+	RefreshLatency  sim.Duration
 }
 
 // DefaultParams returns the calibrated HMC 1.1 / AC-510 parameter set
@@ -159,9 +150,6 @@ func DefaultParams() Params {
 		BankQueueDepth:       384,
 		RefreshInterval:      sim.FromNanoseconds(7800),
 		RefreshLatency:       sim.FromNanoseconds(160),
-		RefreshHotThreshold:  85,
-		FailureReadC:         85,
-		FailureWriteC:        75,
 	}
 }
 

@@ -11,8 +11,6 @@ type Storage struct {
 	rowBytes uint64
 	capacity uint64
 	rows     map[uint64][]byte
-	writes   uint64
-	reads    uint64
 }
 
 // NewStorage builds a store for a device geometry, allocating rows of
@@ -24,15 +22,6 @@ func NewStorage(g Geometry) *Storage {
 		rows:     make(map[uint64][]byte),
 	}
 }
-
-// Capacity reports the addressable size in bytes.
-func (s *Storage) Capacity() uint64 { return s.capacity }
-
-// TouchedRows reports how many DRAM rows have been materialized.
-func (s *Storage) TouchedRows() int { return len(s.rows) }
-
-// Accesses reports functional read and write operation counts.
-func (s *Storage) Accesses() (reads, writes uint64) { return s.reads, s.writes }
 
 func (s *Storage) check(addr uint64, n int) error {
 	if n < 0 {
@@ -49,7 +38,6 @@ func (s *Storage) Write(addr uint64, data []byte) error {
 	if err := s.check(addr, len(data)); err != nil {
 		return err
 	}
-	s.writes++
 	for len(data) > 0 {
 		row := addr / s.rowBytes
 		off := addr % s.rowBytes
@@ -72,7 +60,6 @@ func (s *Storage) Read(addr uint64, n int) ([]byte, error) {
 	if err := s.check(addr, n); err != nil {
 		return nil, err
 	}
-	s.reads++
 	out := make([]byte, n)
 	dst := out
 	for len(dst) > 0 {

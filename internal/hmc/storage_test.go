@@ -52,14 +52,14 @@ func TestStorageRowCrossing(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("row-crossing write corrupted data")
 	}
-	if s.TouchedRows() != 2 {
-		t.Fatalf("touched rows = %d, want 2", s.TouchedRows())
+	if len(s.rows) != 2 {
+		t.Fatalf("touched rows = %d, want 2", len(s.rows))
 	}
 }
 
 func TestStorageBounds(t *testing.T) {
 	s := NewStorage(Geometries(HMC11))
-	capBytes := s.Capacity()
+	capBytes := s.capacity
 	if err := s.Write(capBytes-4, make([]byte, 8)); err == nil {
 		t.Error("write past capacity accepted")
 	}
@@ -86,19 +86,8 @@ func TestStorageClear(t *testing.T) {
 	if got[0] != 0 {
 		t.Fatal("Clear did not erase data")
 	}
-	if s.TouchedRows() != 0 {
+	if len(s.rows) != 0 {
 		t.Fatal("Clear left rows allocated")
-	}
-}
-
-func TestStorageAccessCounting(t *testing.T) {
-	s := NewStorage(Geometries(HMC11))
-	s.Write(0, []byte{1})
-	s.Read(0, 1)
-	s.Read(0, 1)
-	r, w := s.Accesses()
-	if r != 2 || w != 1 {
-		t.Fatalf("accesses = %d reads %d writes, want 2/1", r, w)
 	}
 }
 

@@ -53,12 +53,6 @@ func (b *HMC) Name() string { return "hmc" }
 // Engine returns the backend's engine.
 func (b *HMC) Engine() *sim.Engine { return b.eng }
 
-// Device exposes the underlying cube (refresh control, thermal hooks).
-func (b *HMC) Device() *hmc.Device { return b.dev }
-
-// Controller exposes the underlying AC-510 controller.
-func (b *HMC) Controller() *fpga.Controller { return b.ctrl }
-
 // CapacityBytes is the cube's DRAM capacity.
 func (b *HMC) CapacityBytes() uint64 { return b.dev.Geometry().SizeBytes }
 

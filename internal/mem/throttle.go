@@ -82,9 +82,6 @@ func (t *Throttle) Inner() Backend { return t.inner }
 // Zones reports the zone count.
 func (t *Throttle) Zones() int { return len(t.zones) }
 
-// Unit reports the per-level latency stretch.
-func (t *Throttle) Unit() sim.Duration { return t.unit }
-
 // SetLevel sets a zone's throttle level (0 = no derating). Levels
 // take effect for completions delivered after the call.
 func (t *Throttle) SetLevel(zone, level int) {
@@ -100,9 +97,6 @@ func (t *Throttle) Level(zone int) int { return t.zones[zone].level }
 // SetShutdown marks a zone shut down (accesses rejected) or restores
 // it.
 func (t *Throttle) SetShutdown(zone int, down bool) { t.zones[zone].down = down }
-
-// Shutdown reports whether a zone is shut down.
-func (t *Throttle) Shutdown(zone int) bool { return t.zones[zone].down }
 
 // Rejected counts accesses refused by shutdown zones.
 func (t *Throttle) Rejected() uint64 { return t.rejected }

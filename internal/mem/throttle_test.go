@@ -60,7 +60,7 @@ func TestThrottleStretch(t *testing.T) {
 				t.Fatalf("%s level %d: Submit %v, want original instant %v",
 					th.Name(), level, r.Submit, start)
 			}
-			return th.Name(), r.Latency(), th.Unit()
+			return th.Name(), r.Latency(), th.unit
 		}
 		name, base, unit := lat(0)
 		for _, level := range []int{1, 3} {
@@ -137,7 +137,7 @@ func TestThrottleZoned(t *testing.T) {
 	if got := measure(1 * perCube); got != base1 {
 		t.Errorf("zone 1 latency moved to %v (base %v) when zone 3 was derated", got, base1)
 	}
-	if got, want := measure(3*perCube), base3+4*th.Unit(); got != want {
+	if got, want := measure(3*perCube), base3+4*th.unit; got != want {
 		t.Errorf("zone 3 latency %v, want %v", got, want)
 	}
 }

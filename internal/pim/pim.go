@@ -21,17 +21,13 @@ import (
 	"hmcsim/internal/trace"
 )
 
-// Kernel describes an offload candidate as a memory-access stream
-// plus per-access compute time.
+// Kernel describes an offload candidate as a memory-access stream.
 type Kernel struct {
 	// Name labels reports.
 	Name string
 	// Gen yields the access stream; it is consumed once per run, so
 	// callers pass a constructor.
 	Gen func() trace.Generator
-	// ComputePerAccess is logic-layer (or host) compute time per
-	// reference.
-	ComputePerAccess sim.Duration
 	// Window is the in-flight budget for independent accesses.
 	Window int
 }
@@ -80,11 +76,10 @@ func runHost(k Kernel) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	elapsed := res.Elapsed + sim.Duration(res.Accesses)*k.ComputePerAccess
 	return RunResult{
-		Elapsed:   elapsed,
+		Elapsed:   res.Elapsed,
 		Accesses:  res.Accesses,
-		DataGBps:  res.DataGBps * res.Elapsed.Seconds() / elapsed.Seconds(),
+		DataGBps:  res.DataGBps,
 		LatencyNs: res.LatencyNs,
 	}, nil
 }
@@ -116,8 +111,9 @@ func runPIM(k Kernel) (RunResult, error) {
 		inFlight--
 		out.LatencyNs.Add((r.Deliver - r.Submit).Nanoseconds())
 		blocked = false
-		// Compute phase per access on the vault processor.
-		eng.Schedule(k.ComputePerAccess, pump)
+		// Issue from a new event, after every completion due at this
+		// instant has been delivered.
+		eng.Schedule(0, pump)
 	}
 	pump = func() {
 		for !blocked && inFlight < window && !exhausted {

@@ -3,7 +3,6 @@ package pim
 import (
 	"testing"
 
-	"hmcsim/internal/sim"
 	"hmcsim/internal/trace"
 )
 
@@ -94,7 +93,6 @@ func TestPIMThermalPrice(t *testing.T) {
 	// under the strongest cooling.
 	throttled := streamKernel(1500)
 	throttled.Window = 4
-	throttled.ComputePerAccess = 500 * sim.Nanosecond
 	tc, err := Offload(throttled)
 	if err != nil {
 		t.Fatal(err)
@@ -106,29 +104,6 @@ func TestPIMThermalPrice(t *testing.T) {
 	}
 	if len(tc.FailsAt) == 0 {
 		t.Fatal("throttled PIM passes every config; proximity factor missing")
-	}
-}
-
-// TestPIMComputeTimeCounts: compute-heavy kernels dilute the memory
-// advantage.
-func TestPIMComputeTimeCounts(t *testing.T) {
-	memOnly := chaseKernel(200)
-	heavy := chaseKernel(200)
-	heavy.ComputePerAccess = 2 * sim.Microsecond
-	fast, err := Offload(memOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Offload(heavy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Speedup >= fast.Speedup {
-		t.Fatalf("compute-heavy speedup (%.2f) not below memory-bound (%.2f)",
-			slow.Speedup, fast.Speedup)
-	}
-	if slow.PIM.Elapsed <= fast.PIM.Elapsed {
-		t.Fatal("compute time did not lengthen the PIM run")
 	}
 }
 

@@ -87,16 +87,3 @@ func (m Model) LeakageW(tempC, idleC float64) float64 {
 func (m Model) MachineW(a Activity, tempC, idleC float64) float64 {
 	return m.MachineIdleW + m.FPGAActiveW + m.DeviceDynamicW(a) + m.LeakageW(tempC, idleC)
 }
-
-// SerDesShare estimates the fraction of HMC power spent in SerDes
-// circuits for a profile; the paper cites ~43 % at full utilization.
-func (m Model) SerDesShare(a Activity, hmcIdleW float64) float64 {
-	link := m.LinkWPerGBps * a.RawGBps
-	// Idle SerDes bias consumes a substantial constant share.
-	idleLink := hmcIdleW * 0.55
-	total := hmcIdleW + m.DeviceDynamicW(a)
-	if total <= 0 {
-		return 0
-	}
-	return (link + idleLink) / total
-}

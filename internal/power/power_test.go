@@ -79,19 +79,6 @@ func TestWriteOnlyPremium(t *testing.T) {
 	}
 }
 
-func TestSerDesShare(t *testing.T) {
-	m := DefaultModel()
-	share := m.SerDesShare(roFull, 5)
-	// The paper cites SerDes at ~43% of device power; accept a broad
-	// band around it.
-	if share < 0.3 || share < 0 || share > 0.7 {
-		t.Fatalf("SerDes share = %.2f, want ~0.43", share)
-	}
-	if got := m.SerDesShare(Activity{}, 0); got != 0 {
-		t.Fatalf("zero-power share = %v", got)
-	}
-}
-
 // Property: dynamic power is monotone in each activity component.
 func TestDynamicMonotoneProperty(t *testing.T) {
 	m := DefaultModel()

@@ -34,16 +34,3 @@ func (p *Progress) SetTotal(n int) { p.total.Store(int64(n)) }
 func (p *Progress) Snapshot() (done, total int) {
 	return int(p.done.Load()), int(p.total.Load())
 }
-
-// Tee chains another callback after the counter, for callers that
-// want both a snapshot surface and their own streaming hook. next may
-// be nil (then Tee is just Observe).
-func (p *Progress) Tee(next func(done, total int)) func(done, total int) {
-	if next == nil {
-		return p.Observe
-	}
-	return func(done, total int) {
-		p.Observe(done, total)
-		next(done, total)
-	}
-}

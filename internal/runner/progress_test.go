@@ -58,21 +58,3 @@ func TestProgressSnapshotDuringMap(t *testing.T) {
 		t.Fatalf("final snapshot = %d/%d, want %d/%d", done, total, n, n)
 	}
 }
-
-// TestProgressTee chains a second callback behind the counter.
-func TestProgressTee(t *testing.T) {
-	var p Progress
-	var calls [][2]int
-	hook := p.Tee(func(done, total int) { calls = append(calls, [2]int{done, total}) })
-	hook(1, 3)
-	hook(2, 3)
-	if done, total := p.Snapshot(); done != 2 || total != 3 {
-		t.Fatalf("snapshot = %d/%d, want 2/3", done, total)
-	}
-	if len(calls) != 2 || calls[1] != [2]int{2, 3} {
-		t.Fatalf("chained callback saw %v", calls)
-	}
-	if p.Tee(nil) == nil {
-		t.Fatal("Tee(nil) returned nil")
-	}
-}

@@ -70,8 +70,8 @@ func TestHMCGeometrySplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := backends[0].(*mem.HMC).Device().Geometry(); got != want {
-		t.Errorf("driver runner cube = %v, want %v", got.Gen, want.Gen)
+	if got := backends[0].CapacityBytes(); got != want.SizeBytes {
+		t.Errorf("driver runner cube holds %d bytes, want %v's %d", got, want.Gen, want.SizeBytes)
 	}
 }
 
@@ -225,8 +225,8 @@ func TestChainFailRepairUnderLoad(t *testing.T) {
 			}
 		}
 		eng.Schedule(0, pump)
-		eng.At(failAt, func() { nw.FailCube(1) })
-		eng.At(repairAt, func() { nw.RepairCube(1) })
+		eng.Schedule(failAt, func() { nw.FailCube(1) })
+		eng.Schedule(repairAt, func() { nw.RepairCube(1) })
 		eng.Run()
 		return out
 	}

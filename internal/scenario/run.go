@@ -419,7 +419,7 @@ func hmcBoard(eng *sim.Engine, spec Spec, o Options, ports int, pcs []gups.PortC
 		return nil, err
 	}
 	if spec.Refresh {
-		rig.Dev.StartRefresh(o.Warmup+o.Measure, false)
+		rig.Dev.StartRefresh(o.Warmup + o.Measure)
 	}
 	return rig, nil
 }

@@ -109,13 +109,3 @@ func (s *ThermalStats) MaxC() float64 {
 	}
 	return max
 }
-
-// Throttled reports whether any zone ever derated or shut down.
-func (s *ThermalStats) Throttled() bool {
-	for _, z := range s.Zones {
-		if z.LevelUps > 0 || z.Shutdowns > 0 {
-			return true
-		}
-	}
-	return false
-}

@@ -60,7 +60,11 @@ func TestThermalRunAllBackends(t *testing.T) {
 		if ts.MaxC() <= idle {
 			t.Errorf("%s: peak %.1fC never rose above idle %.1fC", backend, ts.MaxC(), idle)
 		}
-		if !ts.Throttled() {
+		throttled := false
+		for _, z := range ts.Zones {
+			throttled = throttled || z.LevelUps > 0 || z.Shutdowns > 0
+		}
+		if !throttled {
 			t.Errorf("%s: weakest cooling never throttled (peak %.1fC)", backend, ts.MaxC())
 		}
 		if res.Total.Writes == 0 {

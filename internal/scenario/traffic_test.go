@@ -41,7 +41,7 @@ func (b *stallBackend) Submit(req mem.Request, done mem.Done) {
 	if deliver >= b.stallFrom && deliver < b.stallTo {
 		deliver = b.stallTo
 	}
-	b.eng.At(deliver, func() {
+	b.eng.Schedule(deliver-now, func() {
 		done(mem.Result{Req: req, Submit: now, Deliver: deliver})
 	})
 }

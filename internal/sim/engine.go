@@ -120,12 +120,9 @@ func (e *Engine) ScheduleHandler(delay Duration, h Handler) {
 	e.AtHandler(e.now+delay, h)
 }
 
-// At runs fn at absolute time t. Scheduling in the past panics: it is
-// always a model bug, and silently reordering history would corrupt
-// every FIFO reservation made since.
-func (e *Engine) At(t Time, fn func()) { e.AtHandler(t, funcHandler(fn)) }
-
-// AtHandler is At for the allocation-free Handler path.
+// AtHandler runs h at absolute time t. Scheduling in the past panics:
+// it is always a model bug, and silently reordering history would
+// corrupt every FIFO reservation made since.
 func (e *Engine) AtHandler(t Time, h Handler) {
 	if t < e.now {
 		panic("sim: scheduling event in the past")

@@ -73,7 +73,7 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		e.AtHandler(5, funcHandler(func() {}))
 	})
 	e.Run()
 }
@@ -161,9 +161,6 @@ func TestTimeString(t *testing.T) {
 func TestTimeConversions(t *testing.T) {
 	if got := FromNanoseconds(547); got != 547*Nanosecond {
 		t.Errorf("FromNanoseconds(547) = %v", got)
-	}
-	if got := FromSeconds(0.5); got != 500*Millisecond {
-		t.Errorf("FromSeconds(0.5) = %v", got)
 	}
 	if got := (1500 * Nanosecond).Microseconds(); got != 1.5 {
 		t.Errorf("Microseconds = %v, want 1.5", got)

@@ -7,8 +7,6 @@ type Queue[T any] struct {
 	items []T
 	head  int
 	cap   int
-	// peak tracks the maximum occupancy ever observed.
-	peak int
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
@@ -19,9 +17,6 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // Len reports the current occupancy.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
-// Peak reports the maximum occupancy observed so far.
-func (q *Queue[T]) Peak() int { return q.peak }
-
 // Full reports whether a Push would be rejected.
 func (q *Queue[T]) Full() bool { return q.cap > 0 && q.Len() >= q.cap }
 
@@ -31,9 +26,6 @@ func (q *Queue[T]) Push(v T) bool {
 		return false
 	}
 	q.items = append(q.items, v)
-	if n := q.Len(); n > q.peak {
-		q.peak = n
-	}
 	return true
 }
 

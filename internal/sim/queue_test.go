@@ -58,19 +58,6 @@ func TestQueuePeek(t *testing.T) {
 	}
 }
 
-func TestQueuePeakTracking(t *testing.T) {
-	q := NewQueue[int](0)
-	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	q.Pop()
-	q.Push(9)
-	if q.Peak() != 5 {
-		t.Fatalf("Peak = %d, want 5", q.Peak())
-	}
-}
-
 func TestQueueCompaction(t *testing.T) {
 	q := NewQueue[int](0)
 	// Interleave enough pushes and pops to trigger compaction.

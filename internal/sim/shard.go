@@ -118,9 +118,6 @@ func (m *Mesh) Shard(i int) *MeshShard { return m.shards[i] }
 // Engine returns the shard's event engine.
 func (s *MeshShard) Engine() *Engine { return s.eng }
 
-// ID reports the shard's index in the mesh.
-func (s *MeshShard) ID() int { return s.id }
-
 // Send schedules h on shard dst at the first window-grid instant at or
 // after earliest (and no earlier than the current window's barrier),
 // returning the delivery timestamp. It must be called from an event

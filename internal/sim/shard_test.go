@@ -145,7 +145,7 @@ func chatterScript(t *testing.T, shards, workers int, seed uint64, horizon Time)
 				return
 			}
 			dst := rng.Intn(shards)
-			tag := fmt.Sprintf("s%d>%d", sh.ID(), dst)
+			tag := fmt.Sprintf("s%d>%d", sh.id, dst)
 			sh.Send(dst, e.Now()+Time(rng.Intn(120)), &shardRecorder{
 				logs: logs, dst: dst, tag: tag,
 			})

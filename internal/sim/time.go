@@ -64,6 +64,3 @@ func (t Time) String() string {
 // FromNanoseconds converts a float64 nanosecond value into a Time,
 // rounding to the nearest picosecond.
 func FromNanoseconds(ns float64) Time { return Time(ns*1000 + 0.5) }
-
-// FromSeconds converts a float64 second count into a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }

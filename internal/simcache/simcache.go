@@ -156,10 +156,6 @@ func (s Source) String() string {
 	return "miss"
 }
 
-// Cached reports whether the result was served without running the
-// computation in this call.
-func (s Source) Cached() bool { return s != Computed }
-
 // Get returns the cached value for key, consulting memory then disk.
 // The returned slice is shared — callers must not mutate it.
 func (c *Cache) Get(key Key) ([]byte, bool) {

@@ -42,14 +42,14 @@ func TestHitMiss(t *testing.T) {
 	if err != nil || !bytes.Equal(v, want) {
 		t.Fatalf("cold Do = %q, %v", v, err)
 	}
-	if src != Computed || src.Cached() {
+	if src != Computed {
 		t.Fatalf("cold Do source = %v, want miss", src)
 	}
 	v, src, err = c.Do(ctx, k, compute)
 	if err != nil || !bytes.Equal(v, want) {
 		t.Fatalf("warm Do = %q, %v", v, err)
 	}
-	if src != Hit || !src.Cached() {
+	if src != Hit {
 		t.Fatalf("warm Do source = %v, want hit", src)
 	}
 	if n := computes.Load(); n != 1 {

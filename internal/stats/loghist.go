@@ -218,16 +218,3 @@ func (h *LogHist) CountAtMost(v int64) uint64 {
 	}
 	return n
 }
-
-// EachBucket calls f for every nonempty bucket in ascending value
-// order with the bucket's inclusive nanosecond range and count — the
-// iteration shape sinks and tests consume without exposing the
-// storage.
-func (h *LogHist) EachBucket(f func(lo, hi uint64, count uint64)) {
-	for i, c := range h.counts {
-		if c != 0 {
-			lo, hi := histBounds(i)
-			f(lo, hi, c)
-		}
-	}
-}

@@ -200,31 +200,6 @@ func TestLogHistExactMoments(t *testing.T) {
 	}
 }
 
-// TestLogHistEachBucket: iteration is in ascending order, gap-free
-// against the bounds mapping, and conserves the sample count.
-func TestLogHistEachBucket(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var h LogHist
-	for i := 0; i < 1000; i++ {
-		h.Record(r.Int63n(1<<30) * 1000)
-	}
-	var total uint64
-	prevHi := int64(-1)
-	h.EachBucket(func(lo, hi, count uint64) {
-		if int64(lo) <= prevHi {
-			t.Fatalf("buckets out of order or overlapping: lo %d after hi %d", lo, prevHi)
-		}
-		if hi < lo {
-			t.Fatalf("inverted bucket [%d,%d]", lo, hi)
-		}
-		prevHi = int64(hi)
-		total += count
-	})
-	if total != h.N() {
-		t.Fatalf("bucket counts sum %d != N %d", total, h.N())
-	}
-}
-
 // TestHistogramRecordZeroAlloc gates the record path at 0 allocs/op:
 // latency telemetry rides every completed request, so the hot path
 // must never touch the allocator.

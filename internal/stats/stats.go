@@ -49,22 +49,6 @@ func (s Summary) Min() float64 { return s.min }
 // Max reports the largest observation (0 if empty).
 func (s Summary) Max() float64 { return s.max }
 
-// Merge folds other into s, as if all of other's observations had
-// been Added to s.
-func (s *Summary) Merge(other Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 || other.min < s.min {
-		s.min = other.min
-	}
-	if s.n == 0 || other.max > s.max {
-		s.max = other.max
-	}
-	s.sum += other.sum
-	s.n += other.n
-}
-
 // String renders a compact human-readable form.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3g min=%.3g max=%.3g", s.n, s.Mean(), s.Min(), s.Max())
@@ -75,20 +59,10 @@ type Fit struct {
 	Intercept float64 // a
 	Slope     float64 // b
 	R2        float64 // coefficient of determination
-	N         int
 }
 
 // At evaluates the fitted line at x.
 func (f Fit) At(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// SolveX returns the x at which the fitted line reaches y. It returns
-// an error for a (near-)zero slope.
-func (f Fit) SolveX(y float64) (float64, error) {
-	if math.Abs(f.Slope) < 1e-300 {
-		return 0, fmt.Errorf("stats: cannot invert fit with zero slope")
-	}
-	return (y - f.Intercept) / f.Slope, nil
-}
 
 // LinearFit computes the least-squares line through (x[i], y[i]).
 // It returns an error when fewer than two points are supplied, when
@@ -123,7 +97,7 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 	if syy > 0 {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
-	return Fit{Intercept: a, Slope: b, R2: r2, N: n}, nil
+	return Fit{Intercept: a, Slope: b, R2: r2}, nil
 }
 
 // Littles computes the time-average number of items in a system from
@@ -136,25 +110,8 @@ func Littles(ratePerSec, waitSeconds float64) float64 {
 	return ratePerSec * waitSeconds
 }
 
-// Percentile returns the p-th percentile (0..100) of values using
-// nearest-rank selection. It returns 0 for an empty slice and never
-// mutates its input.
-//
-// The value is found by quickselect on a copy — expected O(n) instead
-// of the O(n log n) full sort this used to pay — and matches the
-// sorted nearest-rank definition exactly. Callers needing several
-// quantiles of one sample should use Percentiles, which sorts once.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	work := append([]float64(nil), values...)
-	return quickselect(work, rankIndex(p, len(work)))
-}
-
 // Percentiles returns the nearest-rank percentiles of values for each
-// p in ps, sorting one copy once — cheaper than repeated Percentile
-// calls from three quantiles up. It returns zeros for an empty slice
+// p in ps, sorting one copy once. It returns zeros for an empty slice
 // and never mutates its input.
 func Percentiles(values []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
@@ -183,63 +140,4 @@ func rankIndex(p float64, n int) int {
 		rank = 1
 	}
 	return rank - 1
-}
-
-// fless orders float64s exactly as sort.Float64s does: NaNs sort
-// before everything else. Quickselect must use the same order so
-// Percentile and the sort-based Percentiles agree on any input —
-// plain < would also send the Hoare scans past the slice end when
-// the pivot is NaN.
-func fless(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
-}
-
-// quickselect partially orders work so that work[k] holds the k-th
-// smallest element (in fless order), and returns it. Median-of-three
-// pivoting keeps sorted and reverse-sorted inputs off the quadratic
-// path.
-func quickselect(work []float64, k int) float64 {
-	lo, hi := 0, len(work)-1
-	for lo < hi {
-		// Median-of-three pivot, parked at lo.
-		mid := int(uint(lo+hi) >> 1)
-		if fless(work[mid], work[lo]) {
-			work[mid], work[lo] = work[lo], work[mid]
-		}
-		if fless(work[hi], work[lo]) {
-			work[hi], work[lo] = work[lo], work[hi]
-		}
-		if fless(work[hi], work[mid]) {
-			work[hi], work[mid] = work[mid], work[hi]
-		}
-		work[lo], work[mid] = work[mid], work[lo]
-		pivot := work[lo]
-
-		// Hoare partition.
-		i, j := lo-1, hi+1
-		for {
-			for {
-				i++
-				if !fless(work[i], pivot) {
-					break
-				}
-			}
-			for {
-				j--
-				if !fless(pivot, work[j]) {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			work[i], work[j] = work[j], work[i]
-		}
-		if k <= j {
-			hi = j
-		} else {
-			lo = j + 1
-		}
-	}
-	return work[k]
 }

@@ -252,8 +252,6 @@ type ZoneStats struct {
 	// derated / shut down.
 	ThrottledFrac float64
 	ShutdownFrac  float64
-	// Samples is the number of thermal updates taken.
-	Samples uint64
 }
 
 // Zones reports the zone count.
@@ -270,7 +268,6 @@ func (r *Runtime) ZoneStats(z int) ZoneStats {
 		LevelUps:  st.levelUps,
 		Shutdowns: st.shutdowns,
 		Runaway:   st.runaway,
-		Samples:   st.samples,
 	}
 	if st.samples > 0 {
 		s.ThrottledFrac = float64(st.throttledTicks) / float64(st.samples)

@@ -68,7 +68,7 @@ func TestRuntimeIdleHoldsIdleTemperature(t *testing.T) {
 	if d := s.FinalC - idle; d < -0.01 || d > 0.01 {
 		t.Errorf("idle temperature drifted to %.2fC, want %.2fC", s.FinalC, idle)
 	}
-	if s.LevelUps != 0 || s.Shutdowns != 0 || s.Samples == 0 {
+	if s.LevelUps != 0 || s.Shutdowns != 0 || rt.zones[0].samples == 0 {
 		t.Errorf("idle run throttled: %+v", s)
 	}
 }

@@ -39,22 +39,19 @@ type Model struct {
 	// workloads.
 	ReadFailC  float64
 	WriteFailC float64
-	// CameraResolutionC is the measurement resolution (+-0.1 C).
-	CameraResolutionC float64
 }
 
 // DefaultModel returns the calibrated module model.
 func DefaultModel() Model {
 	return Model{
-		AmbientC:          25,
-		LocalRKPerW:       1.0,
-		FPGAHeatW:         15,
-		HMCIdleW:          5,
-		TauSeconds:        25,
-		JunctionOffsetC:   7,
-		ReadFailC:         85,
-		WriteFailC:        75,
-		CameraResolutionC: 0.1,
+		AmbientC:        25,
+		LocalRKPerW:     1.0,
+		FPGAHeatW:       15,
+		HMCIdleW:        5,
+		TauSeconds:      25,
+		JunctionOffsetC: 7,
+		ReadFailC:       85,
+		WriteFailC:      75,
 	}
 }
 
@@ -135,13 +132,6 @@ func (m Model) Transient(startC, steadyC, totalSeconds, stepSeconds float64) []f
 		out = append(out, at(float64(i)*stepSeconds))
 	}
 	return append(out, at(totalSeconds))
-}
-
-// SettledAfter reports whether the transient has converged to within
-// the camera resolution of steady state after the given time.
-func (m Model) SettledAfter(startC, steadyC, seconds float64) bool {
-	residual := math.Abs(startC-steadyC) * math.Exp(-seconds/m.TauSeconds)
-	return residual <= m.CameraResolutionC
 }
 
 // RequiredResistance inverts the network: the shared resistance that

@@ -118,11 +118,9 @@ func TestTransientSettles(t *testing.T) {
 	if math.Abs(curve[200]-60) > 0.05 {
 		t.Fatalf("after 200 s, %.2f C not settled at 60", curve[200])
 	}
-	if !m.SettledAfter(43.1, 60, 200) {
-		t.Fatal("SettledAfter false at 200 s")
-	}
-	if m.SettledAfter(43.1, 60, 5) {
-		t.Fatal("SettledAfter true after only 5 s")
+	// Still outside the thermal camera's +-0.1 C resolution at 5 s.
+	if math.Abs(curve[5]-60) <= 0.1 {
+		t.Fatalf("after only 5 s, %.2f C already settled at 60", curve[5])
 	}
 }
 

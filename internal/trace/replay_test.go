@@ -85,12 +85,38 @@ func TestReplayZipfHotspot(t *testing.T) {
 	}
 }
 
+// listGen replays a fixed access list.
+type listGen []Access
+
+func (g *listGen) Next() (Access, bool) {
+	if len(*g) == 0 {
+		return Access{}, false
+	}
+	a := (*g)[0]
+	*g = (*g)[1:]
+	return a, true
+}
+
+// TestReplayMixedKernels: a stream and a pointer chase sharing the
+// memory system, their accesses alternating until both end.
 func TestReplayMixedKernels(t *testing.T) {
-	iv := &Interleave{Gens: []Generator{
-		&StrideGen{Stride: 128, Size: 128, Count: 1000},
-		NewChaseGen(1, 64, 50, 1<<32-1),
-	}}
-	res, err := Replay(iv, ReplayConfig{})
+	stream := &StrideGen{Stride: 128, Size: 128, Count: 1000}
+	chase := NewChaseGen(1, 64, 50, 1<<32-1)
+	var mixed listGen
+	for {
+		a, okA := stream.Next()
+		b, okB := chase.Next()
+		if okA {
+			mixed = append(mixed, a)
+		}
+		if okB {
+			mixed = append(mixed, b)
+		}
+		if !okA && !okB {
+			break
+		}
+	}
+	res, err := Replay(&mixed, ReplayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

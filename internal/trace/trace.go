@@ -2,10 +2,9 @@
 // and a replay engine. The paper synthesizes its workloads from
 // "combinations of high-load, low-load, random, and linear access
 // patterns, which are building blocks of real applications"
-// (Section I); this package supplies those building blocks in
-// composable form — strided streaming, Zipf-skewed hotspots, and
-// dependent pointer chasing — and replays them through the simulated
-// controller + device stack.
+// (Section I); this package supplies those building blocks — strided
+// streaming, Zipf-skewed hotspots, and dependent pointer chasing —
+// and replays them through the simulated controller + device stack.
 package trace
 
 import (
@@ -30,18 +29,15 @@ type Generator interface {
 	Next() (a Access, ok bool)
 }
 
-// StrideGen walks addresses with a fixed stride — the streaming
-// building block. Count <= 0 makes it unbounded.
+// StrideGen reads addresses from 0 with a fixed stride — the
+// streaming building block. Count <= 0 makes it unbounded.
 type StrideGen struct {
-	Base   uint64
 	Stride uint64
 	Size   int
-	Write  bool
 	Count  int
 
 	emitted int
 	cursor  uint64
-	started bool
 }
 
 // Next implements Generator.
@@ -49,11 +45,7 @@ func (g *StrideGen) Next() (Access, bool) {
 	if g.Count > 0 && g.emitted >= g.Count {
 		return Access{}, false
 	}
-	if !g.started {
-		g.cursor = g.Base
-		g.started = true
-	}
-	a := Access{Addr: g.cursor, Size: g.Size, Write: g.Write}
+	a := Access{Addr: g.cursor, Size: g.Size}
 	g.cursor += g.Stride
 	g.emitted++
 	return a, true
@@ -132,48 +124,4 @@ func (g *ChaseGen) Next() (Access, bool) {
 	g.emitted++
 	addr := (g.rng.Uint64() & g.mask) &^ 15
 	return Access{Addr: addr, Size: g.size, Dependent: true}, true
-}
-
-// Concat chains generators sequentially.
-type Concat struct {
-	Gens []Generator
-	i    int
-}
-
-// Next implements Generator.
-func (c *Concat) Next() (Access, bool) {
-	for c.i < len(c.Gens) {
-		if a, ok := c.Gens[c.i].Next(); ok {
-			return a, true
-		}
-		c.i++
-	}
-	return Access{}, false
-}
-
-// Interleave round-robins between generators until all are exhausted
-// (two kernels sharing the memory system).
-type Interleave struct {
-	Gens []Generator
-	done []bool
-	i    int
-}
-
-// Next implements Generator.
-func (iv *Interleave) Next() (Access, bool) {
-	if iv.done == nil {
-		iv.done = make([]bool, len(iv.Gens))
-	}
-	for tried := 0; tried < len(iv.Gens); tried++ {
-		k := iv.i % len(iv.Gens)
-		iv.i++
-		if iv.done[k] {
-			continue
-		}
-		if a, ok := iv.Gens[k].Next(); ok {
-			return a, true
-		}
-		iv.done[k] = true
-	}
-	return Access{}, false
 }

@@ -16,15 +16,10 @@ import (
 type Pattern struct {
 	// Name is the figure label, e.g. "16 vaults" or "2 banks".
 	Name string
-	// Vaults and Banks give the coverage: Banks is per vault.
-	Vaults, Banks int
 	// ZeroMask is the GUPS address mask that realizes the pattern on
 	// the default HMC 1.1 mapping (bits forced to zero).
 	ZeroMask uint64
 }
-
-// TotalBanks is the number of distinct banks the pattern touches.
-func (p Pattern) TotalBanks() int { return p.Vaults * p.Banks }
 
 func (p Pattern) String() string { return p.Name }
 
@@ -76,7 +71,7 @@ func VaultPattern(n int) Pattern {
 	if n == 1 {
 		name = "1 vault"
 	}
-	return Pattern{Name: name, Vaults: n, Banks: 16, ZeroMask: vaultFieldMasks(n)}
+	return Pattern{Name: name, ZeroMask: vaultFieldMasks(n)}
 }
 
 // BankPattern targets n banks within a single vault (n in 1,2,4,8).
@@ -85,12 +80,7 @@ func BankPattern(n int) Pattern {
 	if n == 1 {
 		name = "1 bank"
 	}
-	return Pattern{
-		Name:     name,
-		Vaults:   1,
-		Banks:    n,
-		ZeroMask: vaultFieldMasks(1) | bankFieldMasks(n),
-	}
+	return Pattern{Name: name, ZeroMask: vaultFieldMasks(1) | bankFieldMasks(n)}
 }
 
 // Standard returns the nine patterns of the paper's figures, ordered
@@ -125,7 +115,6 @@ func ByName(name string) (Pattern, error) {
 // labels.
 type MaskPosition struct {
 	Label    string
-	Lo, Hi   int
 	ZeroMask uint64
 }
 
@@ -137,8 +126,6 @@ func Figure6Masks() []MaskPosition {
 	for _, r := range ranges {
 		out = append(out, MaskPosition{
 			Label:    fmt.Sprintf("%d-%d", r[0], r[1]),
-			Lo:       r[0],
-			Hi:       r[1],
 			ZeroMask: hmc.BitRangeMask(r[0], r[1]),
 		})
 	}

@@ -62,12 +62,13 @@ func FuzzPatternZeroMask(f *testing.F) {
 				t.Fatalf("%s: address %#x escapes to vault %d bank %d",
 					p.Name, addr, loc.Vault, loc.Bank)
 			}
-			if got := len(vaults[p.Name]); got != p.Vaults {
-				t.Fatalf("%s: reaches %d vaults, pattern advertises %d", p.Name, got, p.Vaults)
+			want := footprint[p.Name]
+			if got := len(vaults[p.Name]); got != want.vaults {
+				t.Fatalf("%s: reaches %d vaults, pattern advertises %d", p.Name, got, want.vaults)
 			}
-			if got := len(banks[p.Name]); got != p.Vaults*p.Banks {
+			if got := len(banks[p.Name]); got != want.vaults*want.banks {
 				t.Fatalf("%s: reaches %d (vault,bank) pairs, pattern advertises %d",
-					p.Name, got, p.Vaults*p.Banks)
+					p.Name, got, want.vaults*want.banks)
 			}
 		}
 	})

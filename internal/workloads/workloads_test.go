@@ -15,15 +15,26 @@ func amap(t *testing.T) *hmc.AddressMap {
 	return m
 }
 
+// footprint is the vault count and banks per vault that each
+// standard pattern's name promises.
+var footprint = map[string]struct{ vaults, banks int }{
+	"16 vaults": {16, 16}, "8 vaults": {8, 16}, "4 vaults": {4, 16}, "2 vaults": {2, 16}, "1 vault": {1, 16},
+	"8 banks": {1, 8}, "4 banks": {1, 4}, "2 banks": {1, 2}, "1 bank": {1, 1},
+}
+
 // TestStandardPatternCoverage: every named pattern reaches exactly
 // the vault/bank set its name promises.
 func TestStandardPatternCoverage(t *testing.T) {
 	m := amap(t)
 	for _, p := range Standard() {
+		want, ok := footprint[p.Name]
+		if !ok {
+			t.Fatalf("no footprint for pattern %q", p.Name)
+		}
 		v, b := Coverage(m, p.ZeroMask)
-		if v != p.Vaults || b != p.Banks {
+		if v != want.vaults || b != want.banks {
 			t.Errorf("%s: coverage %d vaults x %d banks, want %dx%d",
-				p.Name, v, b, p.Vaults, p.Banks)
+				p.Name, v, b, want.vaults, want.banks)
 		}
 	}
 }
@@ -37,8 +48,9 @@ func TestStandardOrder(t *testing.T) {
 		t.Fatalf("pattern order wrong: %v ... %v", ps[0], ps[8])
 	}
 	// Total bank coverage strictly decreases along the axis.
+	total := func(p Pattern) int { return footprint[p.Name].vaults * footprint[p.Name].banks }
 	for i := 1; i < len(ps); i++ {
-		if ps[i].TotalBanks() >= ps[i-1].TotalBanks() {
+		if total(ps[i]) >= total(ps[i-1]) {
 			t.Fatalf("coverage not decreasing at %s", ps[i].Name)
 		}
 	}
@@ -69,7 +81,7 @@ func TestVaultPatternsSpanQuadrants(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	p, err := ByName("4 banks")
-	if err != nil || p.Banks != 4 || p.Vaults != 1 {
+	if err != nil || p != BankPattern(4) {
 		t.Fatalf("ByName(4 banks) = %+v, %v", p, err)
 	}
 	if _, err := ByName("3 banks"); err == nil {
