@@ -21,8 +21,8 @@
 //   - internal/core: public facade — Characterizer, Measure and the
 //     paper's design insights
 //   - internal/hmc: the device model (geometry, packet protocol,
-//     address mapping, links, quadrants, vaults, banks, refresh,
-//     the thermal-shutdown latch)
+//     address mapping, links, quadrants, vaults, banks, the
+//     thermal-shutdown latch)
 //   - internal/fpga: the host-side HMC controller pipeline (Fig. 14)
 //   - internal/gups: the GUPS traffic generator (full-scale,
 //     small-scale, stream)

@@ -306,8 +306,8 @@ func (n *Network) Access(now sim.Time, addr uint64, size int, write bool, done f
 // LoadResult aggregates a network load run.
 type LoadResult struct {
 	DataGBps float64
-	// LatencyNs summarizes the accesses that completed without error.
-	LatencyNs stats.Summary
+	// LatencyNs records the accesses that completed without error.
+	LatencyNs stats.LogHist
 	// PerCubeLatencyNs indexes mean latency by cube distance.
 	PerCubeLatencyNs []float64
 }
@@ -320,7 +320,7 @@ func RunUniformLoad(n *Network, window int, size int, duration sim.Duration, see
 	}
 	rng := sim.NewRNG(seed)
 	var res LoadResult
-	perCube := make([]stats.Summary, n.Cubes())
+	perCube := make([]stats.LogHist, n.Cubes())
 	inFlight := 0
 	var dataBytes uint64
 	// Both loop closures are built once; Result carries the submit
@@ -331,9 +331,9 @@ func RunUniformLoad(n *Network, window int, size int, duration sim.Duration, see
 		inFlight--
 		if !r.Err {
 			dataBytes += uint64(size)
-			lat := r.Latency().Nanoseconds()
-			res.LatencyNs.Add(lat)
-			perCube[r.Cube].Add(lat)
+			lat := int64(r.Latency())
+			res.LatencyNs.Record(lat)
+			perCube[r.Cube].Record(lat)
 		}
 		pump()
 	}
@@ -350,8 +350,8 @@ func RunUniformLoad(n *Network, window int, size int, duration sim.Duration, see
 	if s := elapsed.Seconds(); s > 0 {
 		res.DataGBps = float64(dataBytes) / s / 1e9
 	}
-	for _, s := range perCube {
-		res.PerCubeLatencyNs = append(res.PerCubeLatencyNs, s.Mean())
+	for i := range perCube {
+		res.PerCubeLatencyNs = append(res.PerCubeLatencyNs, perCube[i].Mean())
 	}
 	return res
 }

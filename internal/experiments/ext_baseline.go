@@ -6,6 +6,7 @@ import (
 	"hmcsim/internal/ddr"
 	"hmcsim/internal/gups"
 	"hmcsim/internal/pim"
+	"hmcsim/internal/scenario"
 	"hmcsim/internal/sim"
 	"hmcsim/internal/trace"
 )
@@ -42,20 +43,25 @@ func ExtDDR(o Options) (*ExtDDRData, error) {
 			d.HMCRandomGBps = res.DataGBps
 		}
 	}
-	// DDR side, open-page defaults.
-	lin, err := ddr.RunLoad(ddr.LoadConfig{Channel: ddr.DefaultConfig(), Linear: true,
-		Size: 64, Warmup: o.Warmup, Measure: o.Measure, Seed: o.Seed})
-	if err != nil {
-		return nil, err
+	// DDR side: one tenant of 64 B reads on one open-page channel.
+	// Only the windows and the seed carry over, so the run overlays
+	// (thermal, faults, traffic) leave this comparison untouched.
+	so := scenario.Options{Warmup: o.Warmup, Measure: o.Measure, Seed: o.Seed}
+	for _, kind := range []string{"linear", "uniform"} {
+		res, err := scenario.Run(scenario.Spec{
+			Name: "ext-ddr-" + kind, Backend: "ddr4",
+			Tenants: []scenario.Tenant{{Name: "load", Size: 64, Access: scenario.Access{Kind: kind}}},
+		}, so)
+		if err != nil {
+			return nil, err
+		}
+		if kind == "linear" {
+			d.DDRLinearGBps = res.Total.DataGBps
+			d.DDRHitRateLinear = res.RowHitRate
+		} else {
+			d.DDRRandomGBps = res.Total.DataGBps
+		}
 	}
-	rnd, err := ddr.RunLoad(ddr.LoadConfig{Channel: ddr.DefaultConfig(),
-		Size: 64, Warmup: o.Warmup, Measure: o.Measure, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
-	d.DDRLinearGBps = lin.DataGBps
-	d.DDRRandomGBps = rnd.DataGBps
-	d.DDRHitRateLinear = lin.HitRate
 
 	// Latency: one low-load access each.
 	stream, err := gups.RunStream(gups.StreamConfig{N: 2, Size: 64, Seed: o.Seed})

@@ -96,7 +96,7 @@ func Figure15(o Options) (*Figure15Data, error) {
 	}
 	type cell struct {
 		size, n int
-		s       stats.Summary
+		s       stats.LogHist
 	}
 	total := len(sizes) * len(counts)
 	cells, err := parallelMap(o, total, func(i int) (cell, error) {

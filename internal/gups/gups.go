@@ -97,7 +97,7 @@ func (r Result) String() string {
 }
 
 // Rig bundles a constructed simulation stack. Dev and Ctrl expose the
-// concrete HMC models (refresh, thermal hooks, direct submission);
+// concrete HMC models (storage, thermal hooks, direct submission);
 // Backend is the same stack behind the unified mem interface, which
 // the ports and the trace replayer drive.
 type Rig struct {

@@ -30,9 +30,9 @@ type StreamConfig struct {
 
 // StreamResult reports a stream run.
 type StreamResult struct {
-	// LatencyNs summarizes per-read round trips (avg/min/max are the
-	// three curves of each Figure 15 panel).
-	LatencyNs stats.Summary
+	// LatencyNs records per-read round trips (its mean, min and max are
+	// the three curves of each Figure 15 panel).
+	LatencyNs stats.LogHist
 	// Verified is true when Verify was requested and every response
 	// matched its written data.
 	Verified bool
@@ -110,7 +110,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	// callback reads the submit time off the result, so neither side
 	// allocates per read.
 	onDone := func(fr fpga.Result) {
-		res.LatencyNs.Add(fr.Latency().Nanoseconds())
+		res.LatencyNs.Record(int64(fr.Latency()))
 		if cfg.Verify && !fr.Err {
 			a := fr.AccessResult.Req.Addr
 			got, err := store.Read(a, cfg.Size)

@@ -81,7 +81,6 @@ type Counters struct {
 	Writes    uint64
 	DataBytes uint64
 	WireBytes uint64 // request+response bytes incl. header/tail
-	Refreshes uint64
 	Rejected  uint64 // accesses refused while thermally failed
 	RowHits   uint64 // open-page ablation bookkeeping
 	RowMisses uint64
@@ -97,8 +96,6 @@ type vaultState struct {
 	front sim.Server // per-request controller front-end
 	tsv   sim.Server // 32 B data bus, 10 GB/s ceiling
 	banks []bankState
-	// refreshCursor walks the banks round-robin for refresh events.
-	refreshCursor int
 }
 
 type linkState struct {
@@ -111,7 +108,6 @@ type linkState struct {
 // model and is not safe for concurrent use (one engine, one
 // goroutine).
 type Device struct {
-	eng    *sim.Engine
 	p      Params
 	geo    Geometry
 	amap   *AddressMap
@@ -145,7 +141,7 @@ func NewDevice(eng *sim.Engine, p Params, amap *AddressMap) (*Device, error) {
 		return nil, fmt.Errorf("hmc: link count %d out of range", p.Links.Count)
 	}
 	g := amap.Geometry()
-	d := &Device{eng: eng, p: p, geo: g, amap: amap, policy: ClosedPage,
+	d := &Device{p: p, geo: g, amap: amap, policy: ClosedPage,
 		linkByteTime: p.LinkByteTime(), tsvBeatTime: p.TSVBeatTime(),
 		deliver: sim.NewDeliverer[AccessResult](eng)}
 	d.links = make([]linkState, p.Links.Count)
@@ -367,45 +363,4 @@ func (d *Device) SubmitLocal(now sim.Time, req Request, done func(AccessResult))
 	d.counters.WireBytes += uint64(req.Size)
 
 	d.deliver.Deliver(res.Deliver, res, done)
-}
-
-// refreshTicker is the per-vault refresh loop: one reusable Handler
-// that reschedules itself, so steady-state refresh costs no
-// allocation per tick.
-type refreshTicker struct {
-	d        *Device
-	v        *vaultState
-	interval sim.Duration
-	until    sim.Time
-}
-
-func (t *refreshTicker) Fire(e *sim.Engine) {
-	now := e.Now()
-	if now >= t.until || t.d.failed {
-		return
-	}
-	b := &t.v.banks[t.v.refreshCursor]
-	t.v.refreshCursor = (t.v.refreshCursor + 1) % len(t.v.banks)
-	b.srv.Reserve(now, t.d.p.RefreshLatency)
-	if t.d.policy == OpenPage {
-		b.hasOpen = false // refresh closes the row
-	}
-	t.d.counters.Refreshes++
-	e.ScheduleHandler(t.interval, t)
-}
-
-// StartRefresh schedules staggered per-bank refresh activity until the
-// given horizon: each vault refreshes one bank every
-// RefreshInterval/BanksPerVault, occupying the bank for
-// RefreshLatency.
-func (d *Device) StartRefresh(until sim.Time) {
-	interval := d.p.RefreshInterval / sim.Duration(d.geo.BanksPerVault)
-	if interval <= 0 {
-		return
-	}
-	for vi := range d.vaults {
-		tick := &refreshTicker{d: d, v: d.vaults[vi], interval: interval, until: until}
-		// Stagger vault phases so refreshes do not beat in lockstep.
-		d.eng.ScheduleHandler(interval*sim.Duration(vi)/sim.Duration(len(d.vaults)), tick)
-	}
 }

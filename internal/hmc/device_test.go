@@ -184,22 +184,6 @@ func TestDeviceThermalFailure(t *testing.T) {
 	}
 }
 
-func TestDeviceRefreshOccupiesBanks(t *testing.T) {
-	eng, dev := newTestDevice(t)
-	dev.StartRefresh(1 * sim.Millisecond)
-	eng.RunUntil(1 * sim.Millisecond)
-	c := dev.Counters()
-	if c.Refreshes == 0 {
-		t.Fatal("no refreshes happened")
-	}
-	// 16 vaults, one refresh per vault per (7.8us/16): ~2000/ms/vault.
-	perVault := float64(c.Refreshes) / 16
-	wantPerVault := 1e6 / (7800.0 / 16)
-	if perVault < wantPerVault*0.8 || perVault > wantPerVault*1.2 {
-		t.Fatalf("refreshes/vault = %v, want ~%v", perVault, wantPerVault)
-	}
-}
-
 func TestDeviceOpenPagePolicy(t *testing.T) {
 	amap := MustAddressMap(Geometries(HMC11), Block128)
 	run := func(policy PagePolicy) (sim.Time, Counters) {

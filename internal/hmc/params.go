@@ -122,11 +122,6 @@ type Params struct {
 	// per-bank queue whose saturated occupancy is a constant (~375)
 	// and that two-bank patterns hold half of four-bank patterns.
 	BankQueueDepth int
-
-	// RefreshInterval is the per-bank average refresh spacing and
-	// RefreshLatency the per-refresh bank occupancy.
-	RefreshInterval sim.Duration
-	RefreshLatency  sim.Duration
 }
 
 // DefaultParams returns the calibrated HMC 1.1 / AC-510 parameter set
@@ -148,8 +143,6 @@ func DefaultParams() Params {
 		BankBeat:             sim.FromNanoseconds(3.2),
 		SubBlockPenaltyBeats: 2,
 		BankQueueDepth:       384,
-		RefreshInterval:      sim.FromNanoseconds(7800),
-		RefreshLatency:       sim.FromNanoseconds(160),
 	}
 }
 

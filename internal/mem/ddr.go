@@ -38,8 +38,8 @@ func (c DDRConfig) withDefaults() DDRConfig {
 }
 
 // DDR adapts one or more ddr.Channel models to the Backend interface.
-// With a single channel the address path is the identity, so a load
-// driven through the interface is byte-identical to ddr.RunLoad.
+// With a single channel the address path is the identity, so a tenant
+// driver addresses the channel directly.
 type DDR struct {
 	eng      *sim.Engine
 	cfg      DDRConfig
@@ -119,7 +119,8 @@ func (b *DDR) CapacityBytes() uint64 {
 func (b *DDR) CapMask() uint64 { return nextPow2(b.CapacityBytes()) - 1 }
 
 // Limits reports the per-channel scheduler queue as the outstanding
-// window (32, ddr.RunLoad's default) with no hardware issue pacing.
+// window (32, a typical per-channel scheduler queue) with no hardware
+// issue pacing.
 func (b *DDR) Limits() Limits { return Limits{ReadDepth: 32, WriteDepth: 32} }
 
 // Port returns an issue point; DDR has no per-port state, so the

@@ -168,8 +168,8 @@ func TestDDRInterleave(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("only %d of 4 channels hit", len(seen))
 	}
-	// Single channel is the identity (the RunLoad-equivalence
-	// contract).
+	// Single channel is the identity: a tenant driver addresses the
+	// channel directly.
 	one := buildDDR(t, 1)
 	if ch, local := one.route(123457); ch != 0 || local != 123457 {
 		t.Fatalf("single channel not identity: (%d, %d)", ch, local)

@@ -50,7 +50,7 @@ type RunResult struct {
 	Elapsed   sim.Duration
 	Accesses  uint64
 	DataGBps  float64
-	LatencyNs stats.Summary
+	LatencyNs stats.LogHist
 }
 
 // Compare is the host-vs-PIM comparison of one kernel.
@@ -109,7 +109,7 @@ func runPIM(k Kernel) (RunResult, error) {
 	var onDone func(hmc.AccessResult)
 	onDone = func(r hmc.AccessResult) {
 		inFlight--
-		out.LatencyNs.Add((r.Deliver - r.Submit).Nanoseconds())
+		out.LatencyNs.Record(int64(r.Deliver - r.Submit))
 		blocked = false
 		// Issue from a new event, after every completion due at this
 		// instant has been delivered.

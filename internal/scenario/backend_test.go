@@ -4,50 +4,37 @@ import (
 	"testing"
 
 	"hmcsim/internal/chain"
-	"hmcsim/internal/ddr"
-	"hmcsim/internal/gups"
 	"hmcsim/internal/hmc"
 	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
 )
 
-// TestDDRUniformMatchesRunLoad: a single-tenant uniform read scenario
-// compiled onto the DDR4 backend must reproduce ddr.RunLoad
-// byte-identically — the DDR analog of TestUniformMatchesGUPS. The
-// tenant driver and RunLoad share the pump structure and address
-// transform; the only mapping is the seed derivation (the scenario
-// derives tenant 0's stream as gups.PortSeed(seed, 0)).
-func TestDDRUniformMatchesRunLoad(t *testing.T) {
-	o := quick()
-	ref, err := ddr.RunLoad(ddr.LoadConfig{
-		Channel: ddr.DefaultConfig(),
-		Size:    64,
-		Window:  32,
-		Warmup:  o.Warmup,
-		Measure: o.Measure,
-		Seed:    gups.PortSeed(o.Seed, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
+// ddrLinear is one tenant of 64 B linear reads on one open-page DDR4
+// channel, the shape of ext-ddr's linear run.
+func ddrLinear() Spec {
+	return Spec{Name: "ddr-linear", Backend: "ddr4",
+		Tenants: []Tenant{{Name: "load", Size: 64, Access: Access{Kind: "linear"}}}}
+}
+
+// TestRowHitRateOnlyOnBareDDR: RowHitRate carries the row-buffer hit
+// rate of a bare ddr4 channel set, and reads 0 wherever none backs the
+// run. The hit-rate and bandwidth bounds of the ddr4 load itself are
+// checked in package ddr.
+func TestRowHitRateOnlyOnBareDDR(t *testing.T) {
+	if lin := MustRun(ddrLinear(), quick()); lin.RowHitRate == 0 {
+		t.Error("linear ddr4 load reported no row hits")
 	}
-	got, err := Run(Spec{
-		Name:    "uniform-ddr",
-		Backend: "ddr4",
-		Tenants: []Tenant{{Name: "load", Size: 64, Inject: Injection{Outstanding: 32}}},
-	}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Total.Reads != ref.Accesses {
-		t.Errorf("accesses: scenario %d != RunLoad %d", got.Total.Reads, ref.Accesses)
-	}
-	if got.Total.DataGBps != ref.DataGBps {
-		t.Errorf("data GB/s: scenario %v != RunLoad %v", got.Total.DataGBps, ref.DataGBps)
-	}
-	sl, rl := got.Total.ReadHistNs, &ref.LatencyNs
-	if sl.N() != rl.N() || sl.Mean() != rl.Mean() || sl.Min() != rl.Min() || sl.Max() != rl.Max() {
-		t.Errorf("latency: scenario n=%d mean=%v [%v..%v] != RunLoad n=%d mean=%v [%v..%v]",
-			sl.N(), sl.Mean(), sl.Min(), sl.Max(), rl.N(), rl.Mean(), rl.Min(), rl.Max())
+	faulty := quick()
+	faulty.Faults.Plan = "rate=0.01"
+	for name, res := range map[string]Result{
+		"hmc":               MustRun(mustByName(t, "uniform"), quick()),
+		"chain":             MustRun(mustByName(t, "chain-4"), quick()),
+		"ddr4 under faults": MustRun(ddrLinear(), faulty),
+		"ddr4 in 4 groups":  MustRun(mustByName(t, "ddr4-quad"), quick()),
+	} {
+		if res.RowHitRate != 0 {
+			t.Errorf("%s: row-hit rate %.2f, want 0", name, res.RowHitRate)
+		}
 	}
 }
 
@@ -66,7 +53,7 @@ func TestHMCGeometrySplit(t *testing.T) {
 	if got := rigs[0].Dev.Geometry(); got != want {
 		t.Errorf("gups.Port runner cube = %v, want %v", got.Gen, want.Gen)
 	}
-	backends, err := buildBackends(spec, o, sim.NewMesh(1))
+	backends, err := buildBackends(spec, sim.NewMesh(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -488,5 +488,10 @@ func runDrivers(spec Spec, o Options, mesh *sim.Mesh, backends []mem.Backend) (R
 	if loop != nil {
 		res.Thermal = loop.stats()
 	}
+	// A decorator replaces backends[0], so only a bare channel set
+	// asserts to *mem.DDR here.
+	if be, ok := backends[0].(*mem.DDR); ok && len(backends) == 1 {
+		res.RowHitRate = be.HitRate()
+	}
 	return res, nil
 }

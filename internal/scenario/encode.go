@@ -17,13 +17,16 @@ import (
 // worker-count-independent by construction. TestGoldenSum in
 // internal/experiments fails when the goldens move under an unchanged
 // version.
-const EngineVersion = "hmcsim-engine-pr17"
+const EngineVersion = "hmcsim-engine-ddr4-scenario"
 
 // encodeFormat versions the canonical byte layout itself, so a future
 // field addition changes every key even for specs that leave the new
-// field at its zero value. Format 2 added the traffic-model fields
-// (phases, burst, lifecycle, QoS) and the Options traffic overlay.
-const encodeFormat = 2
+// field at its zero value (or a field removal, which would otherwise
+// let an old layout alias a new one). Format 2 added the traffic-model
+// fields (phases, burst, lifecycle, QoS) and the Options traffic
+// overlay; format 3 dropped the spec's refresh flag with the refresh
+// model.
+const encodeFormat = 3
 
 // CacheBytes returns the canonical binary encoding of the effective
 // run inputs of Run(spec, o): the spec and options after exactly the
@@ -56,7 +59,6 @@ func CacheBytes(spec Spec, o Options) []byte {
 	e.str(spec.Topology)
 	e.i64(int64(spec.Cubes))
 	e.i64(int64(spec.Channels))
-	e.bool(spec.Refresh)
 	e.i64(int64(spec.Groups))
 	e.i64(int64(len(spec.Tenants)))
 	for _, t := range spec.Tenants {

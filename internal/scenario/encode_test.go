@@ -123,9 +123,6 @@ func TestCacheBytesSensitivity(t *testing.T) {
 		}
 	}
 	s := base
-	s.Refresh = true
-	mut("Refresh", s, o)
-	s = base
 	s.Tenants = []Tenant{{Name: "t", Size: 64}}
 	mut("Tenant.Size", s, o)
 	s = base

@@ -214,6 +214,11 @@ type Result struct {
 	// SLO records whether any tenant carried a QoS target: Report
 	// then renders the SLO grid.
 	SLO bool
+	// RowHitRate is the DDR4 row-buffer hit rate over the whole run,
+	// warmup included, when the run's only backend is an undecorated
+	// ddr4 channel set (no fault injector, no thermal throttle); 0 on
+	// every other run. Report does not render it.
+	RowHitRate float64
 }
 
 // effective is the normalization Run executes and CacheBytes keys:
@@ -294,7 +299,7 @@ func Run(spec Spec, o Options) (Result, error) {
 	// which gups.Port rigs wire straight to their board, and the
 	// generic-only traffic features (burst, ramps, lifecycle) run on
 	// the tenant drivers; hmc runs with any of them take this runner.
-	backends, err := buildBackends(spec, o, mesh)
+	backends, err := buildBackends(spec, mesh)
 	if err != nil {
 		return Result{}, err
 	}
@@ -399,7 +404,7 @@ func buildRigs(spec Spec, o Options, mesh *sim.Mesh) ([]*gups.Rig, [][]int, erro
 	}
 	rigs := make([]*gups.Rig, spec.Groups)
 	for g := range rigs {
-		rig, err := hmcBoard(mesh.Shard(g).Engine(), spec, o, len(pcs[g]), pcs[g])
+		rig, err := hmcBoard(mesh.Shard(g).Engine(), len(pcs[g]), pcs[g])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -409,32 +414,25 @@ func buildRigs(spec Spec, o Options, mesh *sim.Mesh) ([]*gups.Rig, [][]int, erro
 }
 
 // hmcBoard builds one AC-510 board on eng: an HMC11 cube behind a
-// controller with at least ports hardware ports, pcs' issue loops on
-// it, and refresh running when the spec asks for it.
-func hmcBoard(eng *sim.Engine, spec Spec, o Options, ports int, pcs []gups.PortConfig) (*gups.Rig, error) {
+// controller with at least ports hardware ports, and pcs' issue loops
+// on it.
+func hmcBoard(eng *sim.Engine, ports int, pcs []gups.PortConfig) (*gups.Rig, error) {
 	fp := fpga.DefaultParams()
 	fp.Ports = max(fp.Ports, ports)
-	rig, err := gups.BuildRigPortsOn(eng, gups.Config{FPGAParams: &fp}, pcs)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Refresh {
-		rig.Dev.StartRefresh(o.Warmup + o.Measure)
-	}
-	return rig, nil
+	return gups.BuildRigPortsOn(eng, gups.Config{FPGAParams: &fp}, pcs)
 }
 
 // buildBackends builds one backend replica per group on the mesh's
 // shard engines, each an equal share of the spec's cubes or channels:
 // an AC-510 board with a controller port per tenant index, a set of
 // interleaved DDR4-2400 channels, or a chain or ring of cubes.
-func buildBackends(spec Spec, o Options, mesh *sim.Mesh) ([]mem.Backend, error) {
+func buildBackends(spec Spec, mesh *sim.Mesh) ([]mem.Backend, error) {
 	backends := make([]mem.Backend, spec.Groups)
 	for g := range backends {
 		eng := mesh.Shard(g).Engine()
 		switch spec.Backend {
 		case "hmc":
-			rig, err := hmcBoard(eng, spec, o, len(spec.Tenants), nil)
+			rig, err := hmcBoard(eng, len(spec.Tenants), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -158,8 +158,8 @@ type Spec struct {
 	// AC-510 controller), "ddr4" (one or more DDR4-2400 channels), or
 	// "chain" (multi-cube HMC networks; implied by the chain/ring
 	// topologies). Every tenant mix, address distribution and
-	// injection mode runs on every backend; Pattern and Refresh are
-	// hmc-only (they name HMC geometry).
+	// injection mode runs on every backend; Pattern is hmc-only (it
+	// names HMC geometry).
 	Backend string
 	// Topology is "single" (default: hmc and ddr4 backends), "chain"
 	// or "ring" (the chain backend's wiring).
@@ -168,8 +168,6 @@ type Spec struct {
 	Cubes int
 	// Channels is the ddr4 channel count (default 1).
 	Channels int
-	// Refresh enables background DRAM refresh (hmc backend only).
-	Refresh bool
 	// Groups partitions the backend into that many independent
 	// replicas, one per PDES shard (default 1 = the classic
 	// single-engine run). Partition cut points follow the hardware's
@@ -394,9 +392,6 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("scenario %q tenant %q: hmc boards are independent; remote traffic needs the chain or ddr4 backend", s.Name, t.Name)
 			}
 		}
-	}
-	if s.Backend != "hmc" && s.Refresh {
-		return fmt.Errorf("scenario %q: refresh is modeled on the hmc backend only", s.Name)
 	}
 	return nil
 }

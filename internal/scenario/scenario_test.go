@@ -53,31 +53,6 @@ func TestUniformMatchesGUPS(t *testing.T) {
 	}
 }
 
-// TestRefreshCostsBandwidth: Spec.Refresh runs the cube's refresh
-// tickers on the gups.Port runner, and refresh never raises
-// bandwidth. On the full cube the links bound uniform reads and
-// refresh hides behind them; on a 4-bank footprint the banks bound
-// them, so refresh must cost bandwidth there.
-func TestRefreshCostsBandwidth(t *testing.T) {
-	for _, c := range []struct {
-		pattern  string
-		mustCost bool
-	}{{"full", false}, {"4 banks", true}} {
-		spec := mustByName(t, "uniform")
-		spec.Tenants[0].Pattern = c.pattern
-		noRef := MustRun(spec, quick())
-		spec.Refresh = true
-		withRef := MustRun(spec, quick())
-		no, with := noRef.Total.RawGBps, withRef.Total.RawGBps
-		if with > no*1.01 {
-			t.Errorf("%s: refresh raised bandwidth: %.2f -> %.2f", c.pattern, no, with)
-		}
-		if c.mustCost && with >= no {
-			t.Errorf("%s: refresh cost no bandwidth (%.2f GB/s both ways)", c.pattern, no)
-		}
-	}
-}
-
 // TestBuiltinScenariosRun: every builtin spec validates and produces
 // traffic end to end.
 func TestBuiltinScenariosRun(t *testing.T) {
@@ -112,7 +87,7 @@ func TestBuiltinScenariosRun(t *testing.T) {
 // TestScenarioReproducible: same spec + seed => byte-identical report
 // across runs (seeded zipfian/hotspot generators included).
 func TestScenarioReproducible(t *testing.T) {
-	for _, name := range []string{"zipfian", "hotspot", "tenants-4", "chain-4"} {
+	for _, name := range []string{"zipfian", "hotspot", "tenants-4", "chain-4", "uniform-ddr4"} {
 		spec, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +181,6 @@ func TestValidationErrors(t *testing.T) {
 		{Name: "anon-tenant", Tenants: []Tenant{{}}},
 		{Name: "bad-backend", Backend: "hbm", Tenants: []Tenant{{Name: "t"}}},
 		{Name: "ddr4-pattern", Backend: "ddr4", Tenants: []Tenant{{Name: "t", Pattern: "1 bank"}}},
-		{Name: "ddr4-refresh", Backend: "ddr4", Refresh: true, Tenants: []Tenant{{Name: "t"}}},
 		{Name: "ddr4-channels", Backend: "ddr4", Channels: 9, Tenants: []Tenant{{Name: "t"}}},
 		{Name: "ddr4-chain-topo", Backend: "ddr4", Topology: "chain", Tenants: []Tenant{{Name: "t"}}},
 		{Name: "chain-single-topo", Backend: "chain", Topology: "single", Tenants: []Tenant{{Name: "t"}}},

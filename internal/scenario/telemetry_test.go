@@ -51,7 +51,7 @@ func TestTelemetryAllBackends(t *testing.T) {
 			if tot.WriteHistNs.N() != tot.Writes {
 				t.Errorf("write telemetry: %d samples, want %d", tot.WriteHistNs.N(), tot.Writes)
 			}
-			backends, err := buildBackends(rwSpec(backend).withDefaults(), telemetryOpts().withDefaults(), sim.NewMesh(1))
+			backends, err := buildBackends(rwSpec(backend).withDefaults(), sim.NewMesh(1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,9 +15,9 @@ import (
 // slice of events. Pushing an event whose timestamp falls inside the
 // wheel's coverage window is an append — O(1), no sift, no compare
 // walk. Level 2 is a small binary min-heap holding far-future events
-// beyond the wheel's coverage (experiment horizons, µs-scale refresh
-// ticks); as the wheel turns, overflow events whose windows come into
-// coverage migrate onto the wheel.
+// beyond the wheel's coverage (experiment horizons, µs-scale open-loop
+// arrivals and fault-plan outages); as the wheel turns, overflow
+// events whose windows come into coverage migrate onto the wheel.
 //
 // Popping serves the cursor slot through a head index after sorting
 // the slot once by (at, seq) — restoring the exact total order the old
@@ -39,7 +39,7 @@ import (
 // The slot width self-tunes: the queue keeps an EMA of the non-zero
 // gaps between successively popped timestamps and re-keys the wheel
 // when the ideal width drifts 4x from the current one, keeping both
-// ns-scale bank events and µs-scale refresh ticks O(1) amortized. The
+// ns-scale bank events and µs-scale pacing events O(1) amortized. The
 // ring doubles when the resident population outgrows it. Tuning
 // affects performance only — the pop order is exact (at, seq)
 // regardless of geometry, which is what the golden regressions and

@@ -138,7 +138,7 @@ var deltaRegimes = []struct {
 	{"banklike", func(r *rand.Rand) Duration { return Duration(500 + r.Intn(3000)) }},
 	{"bimodal", func(r *rand.Rand) Duration {
 		if r.Intn(16) == 0 {
-			return Duration(1+r.Intn(5)) * Microsecond // refresh-tick scale
+			return Duration(1+r.Intn(5)) * Microsecond // µs pacing scale
 		}
 		return Duration(r.Intn(1500))
 	}},

@@ -70,9 +70,10 @@ func BenchmarkEngineScheduleDepth(b *testing.B) {
 	}
 }
 
-// refreshTicker models the µs-scale periodic events (DRAM refresh)
-// that coexist with ns-scale traffic: it always reschedules itself a
-// microsecond out, so it lives in the queue's far-future level.
+// refreshTicker models µs-scale periodic events (a DRAM refresh loop,
+// say) that coexist with ns-scale traffic: it always reschedules
+// itself a microsecond out, so it lives in the queue's far-future
+// level.
 type refreshTicker struct{ fired uint64 }
 
 func (h *refreshTicker) Fire(e *Engine) {
@@ -81,9 +82,9 @@ func (h *refreshTicker) Fire(e *Engine) {
 }
 
 // BenchmarkEngineMixedTimescale drives ns-gap events through a queue
-// that also holds 32 µs-period refresh tickers, the bimodal pattern a
-// multi-cube chain sustains. The far-future tickers must not tax the
-// ns-scale fast path.
+// that also holds 32 µs-period tickers: the bimodal pattern of
+// ns-scale device events beside µs-scale pacing and outage events.
+// The far-future tickers must not tax the ns-scale fast path.
 func BenchmarkEngineMixedTimescale(b *testing.B) {
 	e := NewEngine()
 	h := &benchHandler{}
@@ -132,7 +133,7 @@ func BenchmarkEngineScheduleClosureDepth64(b *testing.B) {
 
 // selfRescheduler models a device tick loop: one Handler instance that
 // reschedules itself until a horizon, the dominant pattern in the
-// migrated vault/refresh/port models.
+// migrated vault and port models.
 type selfRescheduler struct {
 	until Time
 	fired uint64

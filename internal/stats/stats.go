@@ -1,9 +1,10 @@
 // Package stats provides the statistical tooling the characterization
 // harness needs: the latency record (LogHist: exact count, sum, min
 // and max beside log buckets for percentiles), a streaming count, sum,
-// min and max for single-shot runs (Summary), ordinary least-squares
-// linear regression (used for the paper's Figure 11/12 fits), and
-// Little's-law occupancy analysis (Figure 17).
+// min and max (Summary, which only bench/hmcbench's ladder still
+// times), ordinary least-squares linear regression (used for the
+// paper's Figure 11/12 fits), and Little's-law occupancy analysis
+// (Figure 17).
 package stats
 
 import (

@@ -28,7 +28,7 @@ type ReplayResult struct {
 	Elapsed   sim.Duration
 	DataGBps  float64
 	RawGBps   float64
-	LatencyNs stats.Summary
+	LatencyNs stats.LogHist
 	// DerefPerSec is Accesses/Elapsed — the figure of merit for
 	// dependent chains.
 	DerefPerSec float64
@@ -80,7 +80,7 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 	var pump func()
 	onDone := func(r mem.Result) {
 		inFlight--
-		res.LatencyNs.Add(r.Latency().Nanoseconds())
+		res.LatencyNs.Record(int64(r.Latency()))
 		blockedOnDep = false
 		pump()
 	}

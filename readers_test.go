@@ -33,8 +33,6 @@ var readerAllowlist = map[string]string{
 	"experiments.Figure18Data.SaturationBW": "(b) BenchmarkFigure18 reports the saturation bandwidth it observes",
 	"hmc.AccessResult.Loc":                  "(b) TestRequestTimelinePinned and the device tests observe the decoded location",
 	"hmc.AccessResult.BankStart":            "(b) TestRequestTimelinePinned pins when the bank starts",
-	"hmc.Counters.Refreshes":                "(b) TestDeviceRefreshOccupiesBanks counts refresh operations",
-	"mem.DDR.HitRate":                       "(c) ROADMAP item 5: ext-ddr's row-hit rate once it runs through scenario specs",
 	"mem.Throttle.Level":                    "(c) ROADMAP item 8: the throttle level the run timeline samples",
 }
 
