@@ -14,7 +14,6 @@ import (
 
 	"hmcsim/internal/hmc"
 	"hmcsim/internal/sim"
-	"hmcsim/internal/stats"
 )
 
 // Topology selects how cubes are wired.
@@ -251,9 +250,6 @@ type Result struct {
 	Err     bool
 }
 
-// Latency is the network round trip.
-func (r Result) Latency() sim.Duration { return r.Deliver - r.Submit }
-
 // Access performs a read/write against the global address space; done
 // fires when the response returns to the host.
 func (n *Network) Access(now sim.Time, addr uint64, size int, write bool, done func(Result)) {
@@ -301,57 +297,4 @@ func (n *Network) Access(now sim.Time, addr uint64, size int, write bool, done f
 	// link serialization (already accounted): use SubmitLocal plus
 	// the cube's ingress/egress budget.
 	n.eng.AtHandler(t+n.p.Device.IngressLatency, f)
-}
-
-// LoadResult aggregates a network load run.
-type LoadResult struct {
-	DataGBps float64
-	// LatencyNs records the accesses that completed without error.
-	LatencyNs stats.LogHist
-	// PerCubeLatencyNs indexes mean latency by cube distance.
-	PerCubeLatencyNs []float64
-}
-
-// RunUniformLoad drives random reads across the whole global address
-// space with the given outstanding window for a duration.
-func RunUniformLoad(n *Network, window int, size int, duration sim.Duration, seed uint64) LoadResult {
-	if window <= 0 {
-		window = 64
-	}
-	rng := sim.NewRNG(seed)
-	var res LoadResult
-	perCube := make([]stats.LogHist, n.Cubes())
-	inFlight := 0
-	var dataBytes uint64
-	// Both loop closures are built once; Result carries the submit
-	// time, so the completion callback captures no per-access state.
-	var pump func()
-	var onDone func(Result)
-	onDone = func(r Result) {
-		inFlight--
-		if !r.Err {
-			dataBytes += uint64(size)
-			lat := int64(r.Latency())
-			res.LatencyNs.Record(lat)
-			perCube[r.Cube].Record(lat)
-		}
-		pump()
-	}
-	pump = func() {
-		for inFlight < window && n.eng.Now() < duration {
-			addr := rng.Uint64() % n.CapacityBytes() &^ 127
-			inFlight++
-			n.Access(n.eng.Now(), addr, size, false, onDone)
-		}
-	}
-	n.eng.Schedule(0, pump)
-	n.eng.Run()
-	elapsed := n.eng.Now()
-	if s := elapsed.Seconds(); s > 0 {
-		res.DataGBps = float64(dataBytes) / s / 1e9
-	}
-	for i := range perCube {
-		res.PerCubeLatencyNs = append(res.PerCubeLatencyNs, perCube[i].Mean())
-	}
-	return res
 }

@@ -48,7 +48,7 @@ func TestLatencyGrowsPerHop(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		c := c
 		nw.Access(eng.Now(), uint64(c)*capBytes, 128, false, func(r Result) {
-			lats[c] = r.Latency()
+			lats[c] = r.Deliver - r.Submit
 			if r.Hops != c+1 {
 				t.Errorf("cube %d: %d hops, want %d", c, r.Hops, c+1)
 			}
@@ -136,29 +136,6 @@ func TestRingDoubleFailureUnreachable(t *testing.T) {
 	eng.Run()
 	if !r2.Err {
 		t.Fatal("cube 2 reachable despite failures on both ring sides")
-	}
-}
-
-// TestUniformLoad: aggregate capacity scales, far cubes are slower,
-// and the shared first hop bounds total bandwidth.
-func TestUniformLoad(t *testing.T) {
-	eng := sim.NewEngine()
-	nw, err := NewNetwork(eng, 4, Chain, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := RunUniformLoad(nw, 64, 128, 300*sim.Microsecond, 1)
-	if n := res.LatencyNs.N(); n < 1000 {
-		t.Fatalf("only %d accesses completed", n)
-	}
-	if res.DataGBps <= 0 {
-		t.Fatal("no bandwidth measured")
-	}
-	// Distance ordering in per-cube latency.
-	for c := 1; c < 4; c++ {
-		if res.PerCubeLatencyNs[c] <= res.PerCubeLatencyNs[c-1] {
-			t.Fatalf("per-cube latency not increasing: %v", res.PerCubeLatencyNs)
-		}
 	}
 }
 

@@ -67,10 +67,6 @@ func backendSpec(shape, backend string) scenario.Spec {
 		Backend: backend,
 		Tenants: []scenario.Tenant{t},
 	}
-	if backend == "chain" {
-		s.Topology = "chain"
-		s.Cubes = 4
-	}
 	return s
 }
 

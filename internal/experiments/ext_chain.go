@@ -4,7 +4,10 @@ import (
 	"fmt"
 
 	"hmcsim/internal/chain"
+	"hmcsim/internal/mem"
 	"hmcsim/internal/sim"
+	"hmcsim/internal/stats"
+	"hmcsim/internal/trace"
 )
 
 // ExtChainData holds the multi-cube scaling study.
@@ -42,11 +45,21 @@ func ExtChain(o Options) (*ExtChainData, error) {
 		if err != nil {
 			return out{}, err
 		}
-		load := chain.RunUniformLoad(nw, 64, 128, duration, o.Seed)
+		be := mem.NewChain(eng, nw)
+		port := &cubeSplit{Port: be.Port(0), nw: nw, perCube: make([]stats.LogHist, nw.Cubes())}
+		gen := &uniformReads{eng: eng, rng: sim.NewRNG(o.Seed), capBytes: nw.CapacityBytes(), until: duration}
+		load, err := trace.ReplayOn(be, port, gen, trace.ReplayConfig{Window: 64})
+		if err != nil {
+			return out{}, err
+		}
+		perCube := make([]float64, len(port.perCube))
+		for c := range port.perCube {
+			perCube[c] = port.perCube[c].Mean()
+		}
 		return out{
 			cap:     float64(nw.CapacityBytes()) / (1 << 30),
 			bw:      load.DataGBps,
-			perCube: load.PerCubeLatencyNs,
+			perCube: perCube,
 		}, nil
 	})
 	if err != nil {
@@ -80,6 +93,65 @@ func ExtChain(o Options) (*ExtChainData, error) {
 	}
 	d.RingSurvives = survives
 	return d, nil
+}
+
+// uniformReads is the study's load: 128 B reads at uniformly random
+// 128 B-aligned addresses over the whole chain, drawn until the engine
+// reaches the deadline.
+type uniformReads struct {
+	eng      *sim.Engine
+	rng      *sim.RNG
+	capBytes uint64
+	until    sim.Time
+}
+
+// Next implements trace.Generator.
+func (g *uniformReads) Next() (trace.Access, bool) {
+	if g.eng.Now() >= g.until {
+		return trace.Access{}, false
+	}
+	return trace.Access{Addr: g.rng.Uint64() % g.capBytes &^ 127, Size: 128}, true
+}
+
+// cubeSplit is a chain port that also records each successful access's
+// round trip under its destination cube. Each in-flight access borrows
+// a pooled call, like the mem adapters', so the split allocates nothing
+// in steady state.
+type cubeSplit struct {
+	mem.Port
+	nw      *chain.Network
+	perCube []stats.LogHist
+	free    *cubeCall
+}
+
+// cubeCall carries one in-flight access's completion callback; its fn
+// closure is built once and reused.
+type cubeCall struct {
+	done mem.Done
+	fn   mem.Done
+	next *cubeCall
+}
+
+// Submit forwards the request, recording its completion on the way
+// back.
+func (p *cubeSplit) Submit(req mem.Request, done mem.Done) {
+	c := p.free
+	if c == nil {
+		c = &cubeCall{}
+		c.fn = func(r mem.Result) {
+			if !r.Err {
+				cube, _ := p.nw.Decode(r.Req.Addr)
+				p.perCube[cube].Record(int64(r.Latency()))
+			}
+			done := c.done
+			c.done, c.next, p.free = nil, p.free, c
+			done(r)
+		}
+	} else {
+		p.free = c.next
+	}
+	c.done = done
+	p.Port.Submit(req, c.fn)
 }
 
 // Report renders the chaining study.

@@ -91,11 +91,7 @@ func faultSpec(c faultSweepConfig) scenario.Spec {
 			Name: "app", Ports: 4, Mix: "ro", Size: 128,
 		}},
 	}
-	switch c.backend {
-	case "chain":
-		s.Topology = "chain"
-		s.Cubes = 4
-	case "ddr4":
+	if c.backend == "ddr4" {
 		s.Channels = 2
 	}
 	return s
@@ -220,19 +216,15 @@ func (d *ExtFaultSweepData) Report() Report {
 
 // faultSlice is one time slice of the outage timeline.
 type faultSlice struct {
-	Index      int
-	FromUs     float64
-	ToUs       float64
-	Goodput    float64 // successful MRPS within the slice
-	Reads      uint64
-	Errors     uint64
-	Retries    uint64
-	Failed     uint64
-	During     bool // slice overlaps the scripted outage window
-	cumReads   uint64
-	cumErrors  uint64
-	cumRetries uint64
-	cumFailed  uint64
+	Index   int
+	FromUs  float64
+	ToUs    float64
+	Goodput float64 // successful MRPS within the slice
+	Reads   uint64
+	Errors  uint64
+	Retries uint64
+	Failed  uint64
+	During  bool // slice overlaps the scripted outage window
 }
 
 // faultTopoResult is one topology's outcome under the scripted outage.
@@ -287,60 +279,44 @@ func ExtFaultChain(o Options) (*ExtFaultChainData, error) {
 		Backoff:    sim.Microsecond,
 		Deadline:   20 * sim.Microsecond,
 	}
-	cums, err := parallelMap(o, outageSlices, func(i int) (faultSlice, error) {
-		po := o
-		po.Measure = o.Measure * sim.Duration(i+1) / outageSlices
-		res, err := scenario.Run(faultSpec(cfg), faultRunOptions(po, fl))
-		if err != nil {
-			return faultSlice{}, err
+	// The first outageSlices cells run the chain to the timeline's
+	// prefix horizons. The last of them covers the whole window, so it
+	// is also the chain row of the reroute comparison; the final cell
+	// runs the ring.
+	runs, err := parallelMap(o, outageSlices+1, func(i int) (scenario.Result, error) {
+		spec, po := faultSpec(cfg), o
+		if i < outageSlices {
+			po.Measure = o.Measure * sim.Duration(i+1) / outageSlices
+		} else {
+			spec.Name, spec.Topology = "fl-ring-outage", "ring"
 		}
-		tot := res.Total
-		return faultSlice{
-			Index:      i + 1,
-			cumReads:   tot.Reads,
-			cumErrors:  tot.Errors,
-			cumRetries: tot.Retries,
-			cumFailed:  tot.Failed,
-		}, nil
+		return scenario.Run(spec, faultRunOptions(po, fl))
 	})
 	if err != nil {
 		return nil, err
 	}
 	sliceSecs := (o.Measure / outageSlices).Seconds()
-	var prev faultSlice
-	for i := range cums {
-		s := cums[i]
-		s.FromUs = o.Measure.Microseconds() * float64(i) / outageSlices
-		s.ToUs = o.Measure.Microseconds() * float64(i+1) / outageSlices
-		s.Reads = s.cumReads - prev.cumReads
-		s.Errors = s.cumErrors - prev.cumErrors
-		s.Retries = s.cumRetries - prev.cumRetries
-		s.Failed = s.cumFailed - prev.cumFailed
-		s.Goodput = float64(s.Reads) / sliceSecs / 1e6
-		s.During = i+1 > 3*outageSlices/8 && i < 6*outageSlices/8
-		prev = cums[i]
-		d.Slices = append(d.Slices, s)
+	var prev scenario.TenantStats
+	for i, r := range runs[:outageSlices] {
+		tot := r.Total
+		reads := tot.Reads - prev.Reads
+		d.Slices = append(d.Slices, faultSlice{
+			Index:   i + 1,
+			FromUs:  o.Measure.Microseconds() * float64(i) / outageSlices,
+			ToUs:    o.Measure.Microseconds() * float64(i+1) / outageSlices,
+			Goodput: float64(reads) / sliceSecs / 1e6,
+			Reads:   reads,
+			Errors:  tot.Errors - prev.Errors,
+			Retries: tot.Retries - prev.Retries,
+			Failed:  tot.Failed - prev.Failed,
+			During:  i+1 > 3*outageSlices/8 && i < 6*outageSlices/8,
+		})
+		prev = tot
 	}
-
-	topos, err := parallelMap(o, 2, func(i int) (faultTopoResult, error) {
-		topo := []string{"chain", "ring"}[i]
-		spec := faultSpec(cfg)
-		spec.Name = "fl-" + topo + "-outage"
-		spec.Topology = topo
-		res, err := scenario.Run(spec, faultRunOptions(o, fl))
-		if err != nil {
-			return faultTopoResult{}, err
-		}
-		return faultTopoResult{
-			Topology: topo,
-			Point:    summarizeFaults(res),
-			Reads:    res.Total.Reads,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+	for i, topo := range []string{"chain", "ring"} {
+		r := runs[outageSlices-1+i]
+		d.Topos = append(d.Topos, faultTopoResult{Topology: topo, Point: summarizeFaults(r), Reads: r.Total.Reads})
 	}
-	d.Topos = topos
 	return d, nil
 }
 

@@ -85,10 +85,6 @@ func loadLatSpec(c loadLatConfig, perPortMRPS float64) scenario.Spec {
 			Inject: scenario.Injection{Mode: "open", RateMRPS: perPortMRPS},
 		}},
 	}
-	if c.backend == "chain" {
-		s.Topology = "chain"
-		s.Cubes = 4
-	}
 	return s
 }
 

@@ -95,10 +95,6 @@ func sloSpec(c sloConfig, o Options) scenario.Spec {
 			tenant("bulk", c.bulkPorts, c.bulkNs),
 		},
 	}
-	if c.backend == "chain" {
-		s.Topology = "chain"
-		s.Cubes = 4
-	}
 	return s
 }
 

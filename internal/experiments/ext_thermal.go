@@ -101,10 +101,6 @@ func thermalSweepSpec(c thermalSweepConfig, perPortMRPS float64) scenario.Spec {
 			Inject: scenario.Injection{Mode: "open", RateMRPS: perPortMRPS},
 		}},
 	}
-	if c.backend == "chain" {
-		s.Topology = "chain"
-		s.Cubes = 4
-	}
 	return s
 }
 

@@ -49,7 +49,7 @@ func (b *Chain) CapacityBytes() uint64 { return b.nw.CapacityBytes() }
 func (b *Chain) CapMask() uint64 { return nextPow2(b.nw.CapacityBytes()) - 1 }
 
 // Limits reports the host-side closed-loop window (64 per tenant
-// port, chain.RunUniformLoad's default) with no issue pacing.
+// port, trace replay's default) with no issue pacing.
 func (b *Chain) Limits() Limits { return Limits{ReadDepth: 64, WriteDepth: 64} }
 
 // Port returns an issue point; the host's links are shared, so the

@@ -2,8 +2,9 @@
 // side-by-side methodology needs: one Backend/Port interface behind
 // the HMC rig (device + AC-510 controller), the DDR4 channel model,
 // and multi-cube HMC chains, so every driver — the GUPS issue loops,
-// trace replay, and the scenario compiler — targets the interface and
-// runs unmodified on all three memory systems.
+// trace replay (trace.ReplayOn takes any Backend and a port into it),
+// and the scenario compiler — targets the interface and runs
+// unmodified on all three memory systems.
 //
 // The contract mirrors the event kernel's zero-allocation discipline:
 // Submit stores the caller's completion callback (never wraps it in a

@@ -4,7 +4,9 @@
 // lead to failure by exceeding the operational temperature",
 // Section I). A kernel's memory references run either through the
 // full host path (FPGA controller, SerDes links, quadrants) or
-// vault-locally from compute elements in the logic layer; the package
+// vault-locally from compute elements in the logic layer. Both runs
+// are trace.ReplayOn on the same cube model, so they issue the stream
+// under one discipline and differ only in the port; the package
 // reports the performance gap and the thermal price of moving compute
 // into the stack.
 package pim
@@ -13,10 +15,11 @@ import (
 	"fmt"
 
 	"hmcsim/internal/cooling"
+	"hmcsim/internal/gups"
 	"hmcsim/internal/hmc"
+	"hmcsim/internal/mem"
 	"hmcsim/internal/power"
 	"hmcsim/internal/sim"
-	"hmcsim/internal/stats"
 	"hmcsim/internal/thermal"
 	"hmcsim/internal/trace"
 )
@@ -45,19 +48,11 @@ const VaultProcessorW = 0.35
 // compute unit", Section IV-C).
 const ProximityFactor = 1.5
 
-// RunResult is the outcome of one execution mode.
-type RunResult struct {
-	Elapsed   sim.Duration
-	Accesses  uint64
-	DataGBps  float64
-	LatencyNs stats.LogHist
-}
-
 // Compare is the host-vs-PIM comparison of one kernel.
 type Compare struct {
 	Kernel string
-	Host   RunResult
-	PIM    RunResult
+	Host   trace.ReplayResult
+	PIM    trace.ReplayResult
 	// Speedup is host time / PIM time.
 	Speedup float64
 	// PIMPowerW is the extra in-stack power while offloaded.
@@ -70,85 +65,60 @@ type Compare struct {
 	FailsAt []string
 }
 
-// runHost replays the kernel through the full host path.
-func runHost(k Kernel) (RunResult, error) {
-	res, err := trace.Replay(k.Gen(), trace.ReplayConfig{Window: k.Window})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{
-		Elapsed:   res.Elapsed,
-		Accesses:  res.Accesses,
-		DataGBps:  res.DataGBps,
-		LatencyNs: res.LatencyNs,
-	}, nil
+// localPort is a compute element in the cube's logic layer: its
+// requests enter the vault controller through hmc.Device.SubmitLocal,
+// skipping the SerDes links, quadrant routing and the host controller.
+// Completions convert to mem.Result through pooled calls, like the mem
+// adapters', so the port allocates nothing in steady state.
+type localPort struct {
+	eng  *sim.Engine
+	dev  *hmc.Device
+	free *localCall
 }
 
-// runPIM replays the kernel vault-locally.
-func runPIM(k Kernel) (RunResult, error) {
-	eng := sim.NewEngine()
-	defer eng.Release()
-	amap := hmc.MustAddressMap(hmc.Geometries(hmc.HMC11), hmc.DefaultMaxBlock)
-	dev, err := hmc.NewDevice(eng, hmc.DefaultParams(), amap)
-	if err != nil {
-		return RunResult{}, err
-	}
-	capMask := amap.CapacityMask()
-	window := k.Window
-	if window <= 0 {
-		window = 64
-	}
-	gen := k.Gen()
-	var out RunResult
-	inFlight := 0
-	blocked := false
-	exhausted := false
-	// pump and onDone are each built once; AccessResult carries the
-	// submit time, so completions capture no per-access state.
-	var pump func()
-	var onDone func(hmc.AccessResult)
-	onDone = func(r hmc.AccessResult) {
-		inFlight--
-		out.LatencyNs.Record(int64(r.Deliver - r.Submit))
-		blocked = false
-		// Issue from a new event, after every completion due at this
-		// instant has been delivered.
-		eng.Schedule(0, pump)
-	}
-	pump = func() {
-		for !blocked && inFlight < window && !exhausted {
-			a, ok := gen.Next()
-			if !ok {
-				exhausted = true
-				return
-			}
-			if !hmc.ValidPayload(a.Size) {
-				a.Size = 64
-			}
-			if a.Dependent && inFlight > 0 {
-				// Re-queue by wrapping: simplest is to wait; dependent
-				// streams in this model always arrive with inFlight==0
-				// because the previous pump stopped after issuing one.
-				blocked = true
-				return
-			}
-			inFlight++
-			out.Accesses++
-			dep := a.Dependent
-			dev.SubmitLocal(eng.Now(), hmc.Request{Addr: a.Addr & capMask, Size: a.Size, Write: a.Write}, onDone)
-			if dep {
-				blocked = true
-				return
-			}
+// localCall carries one in-flight access's completion callback; its fn
+// closure is built once and reused.
+type localCall struct {
+	done mem.Done
+	fn   func(hmc.AccessResult)
+	next *localCall
+}
+
+// Submit hands the request straight to its vault at the current time.
+func (p *localPort) Submit(req mem.Request, done mem.Done) {
+	c := p.free
+	if c == nil {
+		c = &localCall{}
+		c.fn = func(r hmc.AccessResult) {
+			done := c.done
+			c.done, c.next, p.free = nil, p.free, c
+			done(mem.Result{
+				Req:    mem.Request{Addr: r.Req.Addr, Size: r.Req.Size, Write: r.Req.Write},
+				Submit: r.Submit, Deliver: r.Deliver, Err: r.Err,
+			})
 		}
+	} else {
+		p.free = c.next
 	}
-	eng.Schedule(0, pump)
-	eng.Run()
-	out.Elapsed = eng.Now()
-	if s := out.Elapsed.Seconds(); s > 0 {
-		out.DataGBps = float64(dev.Counters().DataBytes) / s / 1e9
+	c.done = done
+	p.dev.SubmitLocal(p.eng.Now(), hmc.Request{Addr: req.Addr, Size: req.Size, Write: req.Write}, c.fn)
+}
+
+// CanIssue always admits: the kernel's window is its only flow control.
+func (*localPort) CanIssue(uint64) bool { return true }
+
+// WaitIssue never parks; it runs fn immediately (see CanIssue).
+func (*localPort) WaitIssue(_ uint64, fn func()) { fn() }
+
+// runPIM replays the kernel vault-locally, through a localPort on an
+// otherwise idle cube.
+func runPIM(k Kernel) (trace.ReplayResult, error) {
+	rig, err := gups.BuildRig(gups.Config{Ports: 1})
+	if err != nil {
+		return trace.ReplayResult{}, err
 	}
-	return out, nil
+	defer rig.Eng.Release()
+	return trace.ReplayOn(rig.Backend, &localPort{eng: rig.Eng, dev: rig.Dev}, k.Gen(), trace.ReplayConfig{Window: k.Window})
 }
 
 // Offload runs the kernel both ways and assesses the PIM thermal
@@ -157,7 +127,7 @@ func Offload(k Kernel) (Compare, error) {
 	if k.Gen == nil {
 		return Compare{}, fmt.Errorf("pim: kernel without generator")
 	}
-	host, err := runHost(k)
+	host, err := trace.Replay(k.Gen(), trace.ReplayConfig{Window: k.Window})
 	if err != nil {
 		return Compare{}, err
 	}
@@ -179,11 +149,7 @@ func Offload(k Kernel) (Compare, error) {
 	// DRAM activity, deposited in-stack with the proximity factor.
 	tm := thermal.DefaultModel()
 	pm := power.DefaultModel()
-	mrps := 0.0
-	if s := pimRes.Elapsed.Seconds(); s > 0 {
-		mrps = float64(pimRes.Accesses) / s / 1e6
-	}
-	act := power.Activity{RawGBps: pimRes.DataGBps, ReadMRPS: mrps}
+	act := power.Activity{RawGBps: pimRes.DataGBps, ReadMRPS: pimRes.DerefPerSec / 1e6}
 	c.PIMPowerW = 16*VaultProcessorW + pm.DeviceDynamicW(act)
 	for _, cfg := range cooling.Configs() {
 		idle := tm.IdleSurfaceC(cfg)

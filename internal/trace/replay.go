@@ -17,9 +17,6 @@ type ReplayConfig struct {
 	// (an out-of-order core's MSHR budget). Dependent accesses always
 	// serialize regardless. Default 64.
 	Window int
-	// MaxAccesses bounds unbounded generators (0 = until the
-	// generator ends; required for unbounded ones).
-	MaxAccesses int
 }
 
 // ReplayResult summarizes a replayed trace.
@@ -40,17 +37,10 @@ func (r ReplayResult) String() string {
 		r.Accesses, r.Elapsed, r.DataGBps, r.RawGBps, r.DerefPerSec/1e6, r.LatencyNs.Mean())
 }
 
-// Replay runs the trace to completion and reports throughput and
-// latency. Independent accesses pipeline up to Window deep;
-// dependent accesses wait for the previous response (pointer chase).
+// Replay runs the trace to completion through a host core's path into
+// one cube (controller, SerDes links, device) and reports throughput
+// and latency.
 func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
-	if gen == nil {
-		return ReplayResult{}, fmt.Errorf("trace: nil generator")
-	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 64
-	}
 	// Replay models a host core's memory interface rather than one
 	// Verilog GUPS port, so responses drain at 4 flits/cycle (the GUPS
 	// port's 1 flit/cycle would cap any single stream at ~21 M refs/s).
@@ -60,12 +50,28 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	// Replay drives the unified backend interface: the HMC adapter is
-	// a zero-cost shim over the controller, and the replayer itself
-	// stays backend-agnostic.
-	backend := rig.Backend
-	port := backend.Port(0)
-	capMask := backend.CapMask()
+	defer rig.Eng.Release()
+	return ReplayOn(rig.Backend, rig.Backend.Port(0), gen, cfg)
+}
+
+// ReplayOn runs the trace to completion through port, an issue point
+// into be's memory (one of be's ports, or a decorator around one),
+// and reports throughput and latency. Independent accesses pipeline
+// up to Window deep; dependent accesses wait for the previous response
+// (pointer chase). The stream must end: a generator bounds itself by
+// its Count or its own stop rule. ReplayOn drains be's engine and
+// measures from time zero, so be should be fresh; the caller keeps
+// ownership of its engine.
+func ReplayOn(be mem.Backend, port mem.Port, gen Generator, cfg ReplayConfig) (ReplayResult, error) {
+	if gen == nil {
+		return ReplayResult{}, fmt.Errorf("trace: nil generator")
+	}
+	window := cfg.Window
+	if window <= 0 {
+		window = 64
+	}
+	eng := be.Engine()
+	capMask := be.CapMask()
 
 	var res ReplayResult
 	inFlight := 0
@@ -98,10 +104,6 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 				return
 			}
 			if pending == nil {
-				if cfg.MaxAccesses > 0 && res.Accesses >= uint64(cfg.MaxAccesses) {
-					exhausted = true
-					return
-				}
 				a, ok := gen.Next()
 				if !ok {
 					exhausted = true
@@ -129,14 +131,14 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 			}
 		}
 	}
-	rig.Eng.Schedule(0, pump)
-	rig.Eng.Run()
+	eng.Schedule(0, pump)
+	eng.Run()
 
 	if inFlight != 0 || (!exhausted && pending != nil) {
 		return ReplayResult{}, fmt.Errorf("trace: replay stalled with %d in flight", inFlight)
 	}
-	res.Elapsed = rig.Eng.Now()
-	c := backend.Counters()
+	res.Elapsed = eng.Now()
+	c := be.Counters()
 	secs := res.Elapsed.Seconds()
 	if secs > 0 {
 		res.DataGBps = float64(c.DataBytes) / secs / 1e9

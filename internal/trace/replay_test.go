@@ -136,14 +136,3 @@ func TestReplayValidation(t *testing.T) {
 		t.Fatalf("coercion failed: %v %+v", err, res)
 	}
 }
-
-func TestReplayMaxAccesses(t *testing.T) {
-	gen := &StrideGen{Stride: 64, Size: 64} // unbounded
-	res, err := Replay(gen, ReplayConfig{MaxAccesses: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accesses != 500 {
-		t.Fatalf("accesses = %d, want 500", res.Accesses)
-	}
-}

@@ -4,7 +4,9 @@
 // patterns, which are building blocks of real applications"
 // (Section I); this package supplies those building blocks — strided
 // streaming, Zipf-skewed hotspots, and dependent pointer chasing —
-// and replays them through the simulated controller + device stack.
+// and replays them with one windowed loop (ReplayOn) through any
+// memory backend: the host controller + device stack (Replay), a
+// cube's logic layer (package pim), or a chain of cubes.
 package trace
 
 import (
