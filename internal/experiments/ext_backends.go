@@ -14,18 +14,7 @@ func Backends() []Experiment {
 		{"ext-backends", "Cross-backend matrix: the same workloads on hmc, ddr4 and chain", runReport(ExtBackends)},
 	}
 	for _, spec := range scenario.CrossBackend() {
-		spec := spec
-		out = append(out, Experiment{
-			ID:    "scn-" + spec.Name,
-			Title: "Scenario: " + spec.Description,
-			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, o.Options)
-				if err != nil {
-					return Report{}, err
-				}
-				return res.Report(), nil
-			},
-		})
+		out = append(out, specExperiment(spec, scenarioOptions))
 	}
 	return out
 }
@@ -62,12 +51,11 @@ func backendSpec(shape, backend string) scenario.Spec {
 	case "seqjump":
 		t.Access = scenario.Access{Kind: "seqjump", JumpEvery: 32}
 	}
-	s := scenario.Spec{
+	return scenario.Spec{
 		Name:    fmt.Sprintf("mx-%s-%s", shape, backend),
 		Backend: backend,
 		Tenants: []scenario.Tenant{t},
 	}
-	return s
 }
 
 // ExtBackends runs the matrix: every workload shape on every backend,

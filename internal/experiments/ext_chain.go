@@ -46,7 +46,7 @@ func ExtChain(o Options) (*ExtChainData, error) {
 			return out{}, err
 		}
 		be := mem.NewChain(eng, nw)
-		port := &cubeSplit{Port: be.Port(0), nw: nw, perCube: make([]stats.LogHist, nw.Cubes())}
+		port := newCubeSplit(be.Port(0), nw)
 		gen := &uniformReads{eng: eng, rng: sim.NewRNG(o.Seed), capBytes: nw.CapacityBytes(), until: duration}
 		load, err := trace.ReplayOn(be, port, gen, trace.ReplayConfig{Window: 64})
 		if err != nil {
@@ -115,43 +115,35 @@ func (g *uniformReads) Next() (trace.Access, bool) {
 
 // cubeSplit is a chain port that also records each successful access's
 // round trip under its destination cube. Each in-flight access borrows
-// a pooled call, like the mem adapters', so the split allocates nothing
-// in steady state.
+// a mem.Calls adapter, like the mem adapters', so the split allocates
+// nothing in steady state.
 type cubeSplit struct {
 	mem.Port
-	nw      *chain.Network
 	perCube []stats.LogHist
-	free    *cubeCall
+	calls   mem.Calls[mem.Result]
 }
 
-// cubeCall carries one in-flight access's completion callback; its fn
-// closure is built once and reused.
-type cubeCall struct {
-	done mem.Done
-	fn   mem.Done
-	next *cubeCall
+// newCubeSplit wraps port, an issue point into nw, with one latency
+// record per cube.
+func newCubeSplit(port mem.Port, nw *chain.Network) *cubeSplit {
+	p := &cubeSplit{Port: port, perCube: make([]stats.LogHist, nw.Cubes())}
+	p.calls = mem.NewCalls(func(c *mem.Call[mem.Result]) func(mem.Result) {
+		return func(r mem.Result) {
+			_, done := c.Release()
+			if !r.Err {
+				cube, _ := nw.Decode(r.Req.Addr)
+				p.perCube[cube].Record(int64(r.Latency()))
+			}
+			done(r)
+		}
+	})
+	return p
 }
 
 // Submit forwards the request, recording its completion on the way
 // back.
 func (p *cubeSplit) Submit(req mem.Request, done mem.Done) {
-	c := p.free
-	if c == nil {
-		c = &cubeCall{}
-		c.fn = func(r mem.Result) {
-			if !r.Err {
-				cube, _ := p.nw.Decode(r.Req.Addr)
-				p.perCube[cube].Record(int64(r.Latency()))
-			}
-			done := c.done
-			c.done, c.next, p.free = nil, p.free, c
-			done(r)
-		}
-	} else {
-		p.free = c.next
-	}
-	c.done = done
-	p.Port.Submit(req, c.fn)
+	p.Port.Submit(req, p.calls.Call(req, done))
 }
 
 // Report renders the chaining study.

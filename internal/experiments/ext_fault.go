@@ -20,7 +20,6 @@ import (
 func Faults() []Experiment {
 	out := make([]Experiment, 0, len(faultSweepConfigs))
 	for _, c := range faultSweepConfigs {
-		c := c
 		if c.backend == "chain" {
 			out = append(out, Experiment{
 				ID:    "ext-fault-chain",

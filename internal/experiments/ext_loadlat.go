@@ -17,7 +17,6 @@ import (
 func LoadLatency() []Experiment {
 	out := make([]Experiment, 0, len(loadLatConfigs))
 	for _, c := range loadLatConfigs {
-		c := c
 		out = append(out, Experiment{
 			ID:    "ext-loadlat-" + c.backend,
 			Title: fmt.Sprintf("Load-latency sweep: open-loop rate vs tail latency (%s)", c.label),
@@ -74,7 +73,7 @@ type ExtLoadLatData struct {
 // loadLatSpec compiles one sweep cell: uniform 128 B reads injected
 // open-loop at the given per-port rate on the target backend.
 func loadLatSpec(c loadLatConfig, perPortMRPS float64) scenario.Spec {
-	s := scenario.Spec{
+	return scenario.Spec{
 		Name:        fmt.Sprintf("ll-%s-%g", c.backend, perPortMRPS),
 		Description: "load-latency sweep cell",
 		Backend:     c.backend,
@@ -85,7 +84,6 @@ func loadLatSpec(c loadLatConfig, perPortMRPS float64) scenario.Spec {
 			Inject: scenario.Injection{Mode: "open", RateMRPS: perPortMRPS},
 		}},
 	}
-	return s
 }
 
 // ExtLoadLat runs one backend's sweep, fanning the rate ladder across

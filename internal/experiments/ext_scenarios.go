@@ -15,21 +15,31 @@ func Scenarios() []Experiment {
 		{"scenarios", "Scenario overview: every builtin spec side by side", runScenarioOverview},
 	}
 	for _, spec := range scenario.Builtin() {
-		spec := spec
-		out = append(out, Experiment{
-			ID:    "scn-" + spec.Name,
-			Title: "Scenario: " + spec.Description,
-			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, o.Options)
-				if err != nil {
-					return Report{}, err
-				}
-				return res.Report(), nil
-			},
-		})
+		out = append(out, specExperiment(spec, scenarioOptions))
 	}
 	return out
 }
+
+// specExperiment registers one spec as experiment "scn-<name>": a run
+// is scenario.Run under the scenario options opts derives from the
+// registry's.
+func specExperiment(spec scenario.Spec, opts func(Options) scenario.Options) Experiment {
+	return Experiment{
+		ID:    "scn-" + spec.Name,
+		Title: "Scenario: " + spec.Description,
+		Run: func(o Options) (Report, error) {
+			res, err := scenario.Run(spec, opts(o))
+			if err != nil {
+				return Report{}, err
+			}
+			return res.Report(), nil
+		},
+	}
+}
+
+// scenarioOptions passes the registry's scenario options through
+// unchanged.
+func scenarioOptions(o Options) scenario.Options { return o.Options }
 
 // runScenarioOverview fans every builtin scenario out across the
 // worker pool and tabulates totals.

@@ -17,18 +17,7 @@ func ShardedScenarios() []Experiment {
 		{"sharded", "Sharded-system overview: every partitioned spec side by side", runShardedOverview},
 	}
 	for _, spec := range scenario.Sharded() {
-		spec := spec
-		out = append(out, Experiment{
-			ID:    "scn-" + spec.Name,
-			Title: "Scenario: " + spec.Description,
-			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, shardedOptions(o))
-				if err != nil {
-					return Report{}, err
-				}
-				return res.Report(), nil
-			},
-		})
+		out = append(out, specExperiment(spec, shardedOptions))
 	}
 	return out
 }

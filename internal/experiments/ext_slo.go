@@ -19,7 +19,6 @@ import (
 func SLO() []Experiment {
 	out := make([]Experiment, 0, len(sloConfigs))
 	for _, c := range sloConfigs {
-		c := c
 		out = append(out, Experiment{
 			ID:    "ext-slo-" + c.backend,
 			Title: fmt.Sprintf("QoS classes: SLO attainment across a phased load ladder (%s)", c.label),
@@ -86,7 +85,7 @@ func sloSpec(c sloConfig, o Options) scenario.Spec {
 			QoS:    scenario.QoS{Class: name, TargetNs: targetNs},
 		}
 	}
-	s := scenario.Spec{
+	return scenario.Spec{
 		Name:        "slo-" + c.backend,
 		Description: "QoS class ladder cell",
 		Backend:     c.backend,
@@ -95,7 +94,6 @@ func sloSpec(c sloConfig, o Options) scenario.Spec {
 			tenant("bulk", c.bulkPorts, c.bulkNs),
 		},
 	}
-	return s
 }
 
 // sloPhaseRow is one rung of the per-phase attainment grid: the
@@ -232,18 +230,7 @@ func (d *ExtSLOData) Report() Report {
 func TrafficScenarios() []Experiment {
 	out := make([]Experiment, 0, 3)
 	for _, spec := range scenario.Traffic() {
-		spec := spec
-		out = append(out, Experiment{
-			ID:    "scn-" + spec.Name,
-			Title: "Scenario: " + spec.Description,
-			Run: func(o Options) (Report, error) {
-				res, err := scenario.Run(spec, o.Options)
-				if err != nil {
-					return Report{}, err
-				}
-				return res.Report(), nil
-			},
-		})
+		out = append(out, specExperiment(spec, scenarioOptions))
 	}
 	return out
 }

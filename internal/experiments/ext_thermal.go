@@ -21,7 +21,6 @@ import (
 func Thermal() []Experiment {
 	out := make([]Experiment, 0, len(thermalSweepConfigs)+1)
 	for _, c := range thermalSweepConfigs {
-		c := c
 		out = append(out, Experiment{
 			ID:    "ext-thermal-" + c.backend,
 			Title: fmt.Sprintf("Thermal feedback sweep: write rate x cooling (%s)", c.label),
@@ -89,7 +88,7 @@ type ExtThermalSweepData struct {
 // paper's hottest mix, and the power model's write path is what the
 // leakage fixed point feeds back into).
 func thermalSweepSpec(c thermalSweepConfig, perPortMRPS float64) scenario.Spec {
-	s := scenario.Spec{
+	return scenario.Spec{
 		Name:        fmt.Sprintf("th-%s-%g", c.backend, perPortMRPS),
 		Description: "thermal feedback sweep cell",
 		Backend:     c.backend,
@@ -101,7 +100,6 @@ func thermalSweepSpec(c thermalSweepConfig, perPortMRPS float64) scenario.Spec {
 			Inject: scenario.Injection{Mode: "open", RateMRPS: perPortMRPS},
 		}},
 	}
-	return s
 }
 
 // thermalOptions enables the feedback loop on top of the experiment's

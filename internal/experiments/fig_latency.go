@@ -32,10 +32,11 @@ func Figure14(o Options) (*Figure14Data, error) {
 		TXStages: fp.TXStages(9),
 		RXStages: fp.RXStages(9),
 	}
-	rig, err := gups.BuildRig(gups.Config{Ports: 1, Size: 128})
+	rig, err := gups.BuildRigPorts(gups.Config{}, nil)
 	if err != nil {
 		return nil, err
 	}
+	defer rig.Eng.Release()
 	var res fpga.Result
 	rig.Ctrl.Submit(hmc.Request{Addr: 0, Size: 128}, func(r fpga.Result) { res = r })
 	rig.Eng.Run()

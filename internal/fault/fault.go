@@ -9,11 +9,11 @@
 //
 // The Injector follows the mem package's decorator shape (the same
 // contract surface as mem.Throttle, and composable with it in either
-// order): Submit forwards to the inner backend immediately, transient
-// stretches ride a pooled flight object reused as the sim.Handler,
-// and local outage rejections complete at the latency floor without
-// the inner backend ever seeing them. Both submit paths are
-// 0 allocs/op in steady state.
+// order): Submit forwards to the inner backend immediately, a
+// transient stretch borrows a pooled mem.Calls adapter and rides a
+// sim.Deliverer, and local outage rejections complete at the latency
+// floor through the same Deliverer without the inner backend ever
+// seeing them. Both submit paths are 0 allocs/op in steady state.
 package fault
 
 import (
@@ -47,7 +47,11 @@ type Config struct {
 
 // Injector decorates a Backend with plan-driven fault injection.
 type Injector struct {
-	inner  mem.Backend
+	// Backend is the decorated backend. The decorator is transparent
+	// to the scenario compiler, and injection only ever adds latency
+	// (stretches and floor-latency rejections), so the inner lookahead
+	// bound stays conservative.
+	mem.Backend
 	eng    *sim.Engine
 	plan   Plan
 	zoneOf func(addr uint64) int
@@ -60,7 +64,8 @@ type Injector struct {
 	onFail    func(int)
 	onRepair  func(int)
 	ports     []*faultPort
-	free      *faultFlight
+	calls     mem.Calls[mem.Result]
+	late      sim.Deliverer[mem.Result]
 	// nextEvent cursors the sorted scripted events.
 	nextEvent int
 	horizon   sim.Time
@@ -88,20 +93,12 @@ type zoneEvent struct {
 	zone int
 }
 
-// faultFlight carries one in-flight access through the decorator; it
-// doubles as the stretched-delivery (or local-rejection) event.
-type faultFlight struct {
-	inj   *Injector
-	done  mem.Done
-	res   mem.Result
-	extra sim.Duration
-	fn    mem.Done // prebuilt inner-completion closure
-	next  *faultFlight
-}
-
 type faultPort struct {
-	inj   *Injector
-	inner mem.Port
+	// Port is the inner port. CanIssue and WaitIssue pass through:
+	// downed zones keep admitting (and erroring) traffic so
+	// closed-loop drivers never park forever.
+	mem.Port
+	inj *Injector
 }
 
 // New builds an injector over inner. The plan is normalized and
@@ -127,7 +124,7 @@ func New(inner mem.Backend, cfg Config) (*Injector, error) {
 		plan.RetryCost = inner.MinLatency()
 	}
 	inj := &Injector{
-		inner:     inner,
+		Backend:   inner,
 		eng:       inner.Engine(),
 		plan:      plan,
 		zoneOf:    zoneOf,
@@ -137,7 +134,20 @@ func New(inner mem.Backend, cfg Config) (*Injector, error) {
 		retryCost: plan.RetryCost,
 		onFail:    cfg.OnFail,
 		onRepair:  cfg.OnRepair,
+		late:      sim.NewDeliverer[mem.Result](inner.Engine()),
 	}
+	inj.calls = mem.NewCalls(func(c *mem.Call[mem.Result]) func(mem.Result) {
+		return func(r mem.Result) {
+			_, done := c.Release()
+			if r.Err {
+				// A link retry cannot rescue a severed route.
+				done(r)
+				return
+			}
+			r.Deliver += inj.retryCost
+			inj.late.Deliver(inj.eng.Now()+inj.retryCost, r, done)
+		}
+	})
 	for z := range inj.zones {
 		inj.zones[z].rng.Seed(mix(cfg.Seed, 0x8d1c3a55+uint64(z)*0x9e3779b97f4a7c15))
 		inj.zones[z].ev = zoneEvent{inj: inj, zone: z}
@@ -275,7 +285,7 @@ func expDraw(rng *sim.RNG, mean sim.Duration) sim.Duration {
 }
 
 // Inner returns the decorated backend (decorator-stack walking).
-func (inj *Injector) Inner() mem.Backend { return inj.inner }
+func (inj *Injector) Inner() mem.Backend { return inj.Backend }
 
 // Injected counts transient link retries injected so far.
 func (inj *Injector) Injected() uint64 { return inj.injected }
@@ -283,24 +293,9 @@ func (inj *Injector) Injected() uint64 { return inj.injected }
 // Outages counts outage windows entered (scripted and stochastic).
 func (inj *Injector) Outages() uint64 { return inj.outages }
 
-// Name, Engine, CapacityBytes, CapMask, Limits, Port, WireBytes and
-// MinLatency delegate: the decorator is transparent to the scenario
-// compiler, and injection only ever adds latency (stretches and
-// floor-latency rejections), so the inner lookahead bound stays
-// conservative.
-func (inj *Injector) Name() string          { return inj.inner.Name() }
-func (inj *Injector) Engine() *sim.Engine   { return inj.eng }
-func (inj *Injector) CapacityBytes() uint64 { return inj.inner.CapacityBytes() }
-func (inj *Injector) CapMask() uint64       { return inj.inner.CapMask() }
-func (inj *Injector) Limits() mem.Limits    { return inj.inner.Limits() }
-func (inj *Injector) WireBytes(write bool, size int) int {
-	return inj.inner.WireBytes(write, size)
-}
-func (inj *Injector) MinLatency() sim.Duration { return inj.inner.MinLatency() }
-
 // Counters reports the inner totals plus local outage rejections.
 func (inj *Injector) Counters() mem.Counters {
-	c := inj.inner.Counters()
+	c := inj.Backend.Counters()
 	c.Errors += inj.rejected
 	return c
 }
@@ -311,46 +306,9 @@ func (inj *Injector) Port(i int) mem.Port {
 		inj.ports = append(inj.ports, nil)
 	}
 	if inj.ports[i] == nil {
-		inj.ports[i] = &faultPort{inj: inj, inner: inj.inner.Port(i)}
+		inj.ports[i] = &faultPort{Port: inj.Backend.Port(i), inj: inj}
 	}
 	return inj.ports[i]
-}
-
-func (inj *Injector) newFlight() *faultFlight {
-	f := inj.free
-	if f == nil {
-		f = &faultFlight{inj: inj}
-		f.fn = func(r mem.Result) {
-			if f.extra <= 0 || r.Err {
-				// No stretch (or the access already failed — a link
-				// retry cannot rescue a severed route).
-				done := f.done
-				f.inj.release(f)
-				done(r)
-				return
-			}
-			f.res = r
-			f.res.Deliver = r.Deliver + f.extra
-			f.inj.eng.ScheduleHandler(f.extra, f)
-		}
-	} else {
-		inj.free = f.next
-	}
-	return f
-}
-
-func (inj *Injector) release(f *faultFlight) {
-	f.done = nil
-	f.extra = 0
-	f.next = inj.free
-	inj.free = f
-}
-
-// Fire delivers a stretched (or locally rejected) completion.
-func (f *faultFlight) Fire(*sim.Engine) {
-	done, res := f.done, f.res
-	f.inj.release(f)
-	done(res)
 }
 
 // Submit forwards to the inner port, drawing the request's transient
@@ -363,34 +321,20 @@ func (p *faultPort) Submit(req mem.Request, done mem.Done) {
 	if inj.zones[inj.zoneOf(req.Addr)].down && inj.onFail == nil {
 		inj.rejected++
 		now := inj.eng.Now()
-		delay := inj.inner.MinLatency()
-		f := inj.newFlight()
-		f.done = done
-		f.res = mem.Result{Req: req, Submit: now, Deliver: now + delay, Err: true}
-		inj.eng.ScheduleHandler(delay, f)
+		at := now + inj.MinLatency()
+		inj.late.Deliver(at, mem.Result{Req: req, Submit: now, Deliver: at, Err: true}, done)
 		return
 	}
-	var extra sim.Duration
 	if inj.rate > 0 && inj.rng.Float64() < inj.rate {
-		extra = inj.retryCost
 		inj.injected++
+		if inj.retryCost > 0 {
+			p.Port.Submit(req, inj.calls.Call(req, done))
+			return
+		}
 	}
-	if extra == 0 {
-		// Clean fast path: no flight needed, the caller's Done is
-		// stored directly by the inner backend.
-		p.inner.Submit(req, done)
-		return
-	}
-	f := inj.newFlight()
-	f.done = done
-	f.extra = extra
-	p.inner.Submit(req, f.fn)
+	// Clean fast path: no adapter needed, the caller's Done is stored
+	// directly by the inner backend.
+	p.Port.Submit(req, done)
 }
 
-// CanIssue and WaitIssue delegate: downed zones keep admitting (and
-// erroring) traffic so closed-loop drivers never park forever.
-func (p *faultPort) CanIssue(addr uint64) bool        { return p.inner.CanIssue(addr) }
-func (p *faultPort) WaitIssue(addr uint64, fn func()) { p.inner.WaitIssue(addr, fn) }
-
-var _ mem.Backend = (*Injector)(nil)
 var _ fmt.Stringer = EventKind(0)

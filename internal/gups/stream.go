@@ -48,7 +48,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	if !hmc.ValidPayload(cfg.Size) {
 		return StreamResult{}, fmt.Errorf("gups: invalid request size %d", cfg.Size)
 	}
-	rig, err := BuildRig(Config{Ports: 1, Size: cfg.Size, Seed: cfg.Seed})
+	rig, err := BuildRigPorts(Config{}, nil)
 	if err != nil {
 		return StreamResult{}, err
 	}
@@ -77,7 +77,6 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 		// the packet layer into the functional store.
 		pending := cfg.N
 		for i, a := range addrs {
-			a := a
 			payload := testPattern(a, cfg.Size, byte(i))
 			want[a] = payload
 			pkt := &hmc.Packet{Cmd: hmc.CmdWrite, Tag: uint16(i), Addr: a, Data: payload}

@@ -10,25 +10,21 @@ import (
 // Accesses to failed cubes complete with Err set (the network's
 // rerouting and severed-chain semantics pass through unchanged).
 type Chain struct {
-	eng  *sim.Engine
-	nw   *chain.Network
-	free *chainCall
-}
-
-// chainCall converts one in-flight chain.Result to Result; pooled.
-type chainCall struct {
-	be   *Chain
-	req  Request
-	done Done
-	fn   func(chain.Result)
-	next *chainCall
+	eng   *sim.Engine
+	nw    *chain.Network
+	calls Calls[chain.Result]
 }
 
 type chainPort struct{ be *Chain }
 
 // NewChain wraps an existing network.
 func NewChain(eng *sim.Engine, nw *chain.Network) *Chain {
-	return &Chain{eng: eng, nw: nw}
+	return &Chain{eng: eng, nw: nw, calls: NewCalls(func(c *Call[chain.Result]) func(chain.Result) {
+		return func(r chain.Result) {
+			req, done := c.Release()
+			done(Result{Req: req, Submit: r.Submit, Deliver: r.Deliver, Err: r.Err})
+		}
+	})}
 }
 
 // Name reports "chain".
@@ -88,29 +84,10 @@ func (b *Chain) Counters() Counters {
 	return c
 }
 
-func (b *Chain) newCall() *chainCall {
-	c := b.free
-	if c == nil {
-		c = &chainCall{be: b}
-		c.fn = func(r chain.Result) {
-			done, req := c.done, c.req
-			c.done = nil
-			c.next = c.be.free
-			c.be.free = c
-			done(Result{Req: req, Submit: r.Submit, Deliver: r.Deliver, Err: r.Err})
-		}
-	} else {
-		b.free = c.next
-	}
-	return c
-}
-
 // Submit launches the access across the network at the current time.
 func (p chainPort) Submit(req Request, done Done) {
 	b := p.be
-	c := b.newCall()
-	c.req, c.done = req, done
-	b.nw.Access(b.eng.Now(), req.Addr, req.Size, req.Write, c.fn)
+	b.nw.Access(b.eng.Now(), req.Addr, req.Size, req.Write, b.calls.Call(req, done))
 }
 
 // CanIssue always admits: flow control on a chain is the host's

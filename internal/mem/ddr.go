@@ -44,7 +44,7 @@ type DDR struct {
 	eng      *sim.Engine
 	cfg      DDRConfig
 	channels []*ddr.Channel
-	free     *ddrCall
+	calls    Calls[ddr.Result]
 
 	// reads/writes/payloadBytes keep the unified Counters contract
 	// (payload-true DataBytes, read/write split) that the channel
@@ -54,15 +54,6 @@ type DDR struct {
 	// backend but not another.
 	reads, writes uint64
 	payloadBytes  uint64
-}
-
-// ddrCall converts one in-flight ddr.Result to Result; pooled.
-type ddrCall struct {
-	be   *DDR
-	req  Request
-	done Done
-	fn   func(ddr.Result)
-	next *ddrCall
 }
 
 // ddrPort is the (stateless) issue point; every port shares the
@@ -83,6 +74,22 @@ func NewDDR(eng *sim.Engine, cfg DDRConfig) (*DDR, error) {
 			cfg.InterleaveBytes, cfg.Channel.BurstBytes)
 	}
 	be := &DDR{eng: eng, cfg: cfg}
+	be.calls = NewCalls(func(c *Call[ddr.Result]) func(ddr.Result) {
+		return func(r ddr.Result) {
+			req, done := c.Release()
+			if req.Write {
+				be.writes++
+			} else {
+				be.reads++
+			}
+			size := req.Size
+			if size <= 0 {
+				size = be.cfg.Channel.BurstBytes
+			}
+			be.payloadBytes += uint64(size)
+			done(Result{Req: req, Submit: r.Submit, Deliver: r.Deliver})
+		}
+	})
 	for i := 0; i < cfg.Channels; i++ {
 		ch, err := ddr.NewChannel(eng, cfg.Channel)
 		if err != nil {
@@ -193,40 +200,11 @@ func (b *DDR) route(addr uint64) (int, uint64) {
 	return int(blk % n), blk/n*g + addr%g
 }
 
-func (b *DDR) newCall() *ddrCall {
-	c := b.free
-	if c == nil {
-		c = &ddrCall{be: b}
-		c.fn = func(r ddr.Result) {
-			be, done, req := c.be, c.done, c.req
-			c.done = nil
-			c.next = be.free
-			be.free = c
-			if req.Write {
-				be.writes++
-			} else {
-				be.reads++
-			}
-			size := req.Size
-			if size <= 0 {
-				size = be.cfg.Channel.BurstBytes
-			}
-			be.payloadBytes += uint64(size)
-			done(Result{Req: req, Submit: r.Submit, Deliver: r.Deliver})
-		}
-	} else {
-		b.free = c.next
-	}
-	return c
-}
-
 // Submit routes the request to its channel at the current time.
 func (p ddrPort) Submit(req Request, done Done) {
 	b := p.be
 	ch, local := b.route(req.Addr)
-	c := b.newCall()
-	c.req, c.done = req, done
-	b.channels[ch].Access(b.eng.Now(), local, req.Size, req.Write, c.fn)
+	b.channels[ch].Access(b.eng.Now(), local, req.Size, req.Write, b.calls.Call(req, done))
 }
 
 // CanIssue always admits: the JEDEC interface has no stop signal; the

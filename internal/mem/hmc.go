@@ -23,7 +23,10 @@ type HMC struct {
 }
 
 // hmcCall converts one in-flight fpga.Result to Result; pooled on the
-// backend, its fn closure is built once and reused.
+// backend, its fn closure is built once and reused. It stays written
+// out, not a Calls, because every gups.Port read takes this path and
+// newCall inlines into Submit, while Calls.Call (whose slow path calls
+// wrap) is over the inliner's budget.
 type hmcCall struct {
 	be   *HMC
 	req  Request

@@ -9,16 +9,17 @@
 // The contract mirrors the event kernel's zero-allocation discipline:
 // Submit stores the caller's completion callback (never wraps it in a
 // fresh closure), and every adapter converts its native completion
-// record to Result through a pooled, reusable adapter object. A
-// caller that passes a reusable Done value keeps the whole submission
-// path at 0 allocs/op in steady state, exactly like scheduling a
-// sim.Handler.
+// record to Result through a pooled, reusable adapter (a Calls; HMC's
+// hand-written hmcCall is the one exception); the decorators deliver
+// their stretched and rejected completions through a sim.Deliverer. A caller that passes a reusable Done value keeps
+// the whole submission path at 0 allocs/op in steady state, exactly
+// like scheduling a sim.Handler.
 //
 // Adding a fourth backend is three steps: implement Backend/Port over
-// the new model (pool the completion conversion like hmcCall/ddrCall/
-// chainCall), give it a name in the scenario compiler's backend
-// switch, and register whatever scn-* specs should exercise it. The
-// drivers need no changes.
+// the new model (pool the completion conversion in a Calls, as DDR and
+// Chain do), give it a name in the scenario compiler's backend switch,
+// and register whatever scn-* specs should exercise it. The drivers
+// need no changes.
 package mem
 
 import "hmcsim/internal/sim"
@@ -46,6 +47,58 @@ func (r Result) Latency() sim.Duration { return r.Deliver - r.Submit }
 // Done is the completion callback. Backends store it rather than
 // wrapping it, so reusable func values keep submission allocation-free.
 type Done func(Result)
+
+// Calls is a free list of completion adapters. Each *Call carries one
+// request's Request and Done across a native completion of type R; its
+// callback is built once, by the wrap function given to NewCalls, and
+// starts with Release, which puts the adapter back before the callback
+// converts the result and calls the caller's Done. So a Done that
+// resubmits reuses the adapter it completed on, and the list only ever
+// holds the peak number of accesses in flight. Adapters point back at
+// their Calls, so it must not be copied once Call has run.
+type Calls[R any] struct {
+	wrap func(*Call[R]) func(R)
+	free *Call[R]
+}
+
+// Call is one pooled completion adapter of a Calls.
+type Call[R any] struct {
+	calls *Calls[R]
+	req   Request
+	done  Done
+	fn    func(R)
+	next  *Call[R]
+}
+
+// NewCalls returns an empty pool; wrap builds each new adapter's
+// callback.
+func NewCalls[R any](wrap func(c *Call[R]) func(R)) Calls[R] {
+	return Calls[R]{wrap: wrap}
+}
+
+// Call borrows an adapter for (req, done) and returns its callback,
+// which must run exactly once.
+func (p *Calls[R]) Call(req Request, done Done) func(R) {
+	c := p.free
+	if c == nil {
+		c = &Call[R]{calls: p}
+		c.fn = p.wrap(c)
+	} else {
+		p.free = c.next
+	}
+	c.req, c.done = req, done
+	return c.fn
+}
+
+// Release puts the adapter back on its pool and returns the request
+// and Done it carried.
+func (c *Call[R]) Release() (Request, Done) {
+	req, done := c.req, c.done
+	c.done = nil
+	c.next = c.calls.free
+	c.calls.free = c
+	return req, done
+}
 
 // Limits are the per-port hardware depths a driver should respect.
 // ReadDepth doubles as the default closed-loop outstanding window for

@@ -15,19 +15,23 @@ import "hmcsim/internal/sim"
 // controller clears it.
 //
 // The hot path follows the package's zero-allocation discipline: each
-// in-flight access borrows a pooled flight object whose inner-done
-// closure is built once, and the stretch is scheduled by reusing the
-// flight itself as the sim.Handler.
+// in-flight access borrows a pooled completion adapter (Calls), and
+// stretched and rejected completions ride a sim.Deliverer.
 type Throttle struct {
-	inner Backend
-	eng   *sim.Engine
+	// Backend is the decorated backend. The decorator is transparent
+	// to the scenario compiler's backend switch, and throttling only
+	// ever adds latency, so the inner lookahead bound stays
+	// conservative.
+	Backend
+	eng *sim.Engine
 	// zoneOf maps an address to its thermal zone (cube of a chain,
 	// the single device otherwise).
 	zoneOf func(addr uint64) int
 	unit   sim.Duration
 	zones  []zoneState
 	ports  []*throttlePort
-	free   *throttleFlight
+	calls  Calls[Result]
+	late   sim.Deliverer[Result]
 	// rejected counts accesses refused by shutdown zones; the inner
 	// backend never sees them.
 	rejected uint64
@@ -38,20 +42,13 @@ type zoneState struct {
 	down  bool
 }
 
-// throttleFlight is one in-flight access. It doubles as the delayed
-// delivery event: Fire hands the stretched Result to the caller and
-// returns the flight to the pool.
-type throttleFlight struct {
-	t    *Throttle
-	done Done
-	res  Result
-	fn   Done // prebuilt inner-completion closure
-	next *throttleFlight
-}
-
 type throttlePort struct {
-	t     *Throttle
-	inner Port
+	// Port is the inner port. CanIssue and WaitIssue pass through:
+	// shutdown zones keep admitting (and rejecting) traffic so
+	// closed-loop drivers never park on a waiter that nothing would
+	// ever re-fire.
+	Port
+	t *Throttle
 }
 
 // NewThrottle wraps inner with zones thermal zones. zoneOf maps an
@@ -67,17 +64,31 @@ func NewThrottle(inner Backend, zones int, zoneOf func(addr uint64) int, unit si
 	if zoneOf == nil {
 		zoneOf = func(uint64) int { return 0 }
 	}
-	return &Throttle{
-		inner:  inner,
-		eng:    inner.Engine(),
-		zoneOf: zoneOf,
-		unit:   unit,
-		zones:  make([]zoneState, zones),
+	t := &Throttle{
+		Backend: inner,
+		eng:     inner.Engine(),
+		zoneOf:  zoneOf,
+		unit:    unit,
+		zones:   make([]zoneState, zones),
+		late:    sim.NewDeliverer[Result](inner.Engine()),
 	}
+	t.calls = NewCalls(func(c *Call[Result]) func(Result) {
+		return func(r Result) {
+			_, done := c.Release()
+			extra := sim.Duration(t.zones[t.zoneOf(r.Req.Addr)].level) * t.unit
+			if extra <= 0 {
+				done(r)
+				return
+			}
+			r.Deliver += extra
+			t.late.Deliver(t.eng.Now()+extra, r, done)
+		}
+	})
+	return t
 }
 
 // Inner returns the decorated backend.
-func (t *Throttle) Inner() Backend { return t.inner }
+func (t *Throttle) Inner() Backend { return t.Backend }
 
 // Zones reports the zone count.
 func (t *Throttle) Zones() int { return len(t.zones) }
@@ -101,24 +112,10 @@ func (t *Throttle) SetShutdown(zone int, down bool) { t.zones[zone].down = down 
 // Rejected counts accesses refused by shutdown zones.
 func (t *Throttle) Rejected() uint64 { return t.rejected }
 
-// Name, Engine, CapacityBytes, CapMask, Limits, WireBytes and
-// MinLatency delegate: the decorator is transparent to the scenario
-// compiler's backend switch, and throttling only ever adds latency,
-// so the inner lookahead bound stays conservative.
-func (t *Throttle) Name() string          { return t.inner.Name() }
-func (t *Throttle) Engine() *sim.Engine   { return t.eng }
-func (t *Throttle) CapacityBytes() uint64 { return t.inner.CapacityBytes() }
-func (t *Throttle) CapMask() uint64       { return t.inner.CapMask() }
-func (t *Throttle) Limits() Limits        { return t.inner.Limits() }
-func (t *Throttle) WireBytes(write bool, size int) int {
-	return t.inner.WireBytes(write, size)
-}
-func (t *Throttle) MinLatency() sim.Duration { return t.inner.MinLatency() }
-
 // Counters reports the inner totals plus shutdown rejections (which
 // the inner backend never saw).
 func (t *Throttle) Counters() Counters {
-	c := t.inner.Counters()
+	c := t.Backend.Counters()
 	c.Errors += t.rejected
 	return c
 }
@@ -130,42 +127,9 @@ func (t *Throttle) Port(i int) Port {
 		t.ports = append(t.ports, nil)
 	}
 	if t.ports[i] == nil {
-		t.ports[i] = &throttlePort{t: t, inner: t.inner.Port(i)}
+		t.ports[i] = &throttlePort{Port: t.Backend.Port(i), t: t}
 	}
 	return t.ports[i]
-}
-
-func (t *Throttle) newFlight() *throttleFlight {
-	f := t.free
-	if f == nil {
-		f = &throttleFlight{t: t}
-		f.fn = func(r Result) {
-			extra := sim.Duration(f.t.zones[f.t.zoneOf(r.Req.Addr)].level) * f.t.unit
-			if extra <= 0 {
-				done := f.done
-				f.done = nil
-				f.next = f.t.free
-				f.t.free = f
-				done(r)
-				return
-			}
-			f.res = r
-			f.res.Deliver = r.Deliver + extra
-			f.t.eng.ScheduleHandler(extra, f)
-		}
-	} else {
-		t.free = f.next
-	}
-	return f
-}
-
-// Fire delivers a stretched (or rejected) completion.
-func (f *throttleFlight) Fire(*sim.Engine) {
-	done, res := f.done, f.res
-	f.done = nil
-	f.next = f.t.free
-	f.t.free = f
-	done(res)
 }
 
 // Submit forwards to the inner port, or rejects at the latency floor
@@ -176,22 +140,9 @@ func (p *throttlePort) Submit(req Request, done Done) {
 	if z.down {
 		t.rejected++
 		now := t.eng.Now()
-		delay := t.inner.MinLatency() + sim.Duration(z.level)*t.unit
-		f := t.newFlight()
-		f.done = done
-		f.res = Result{Req: req, Submit: now, Deliver: now + delay, Err: true}
-		t.eng.ScheduleHandler(delay, f)
+		at := now + t.MinLatency() + sim.Duration(z.level)*t.unit
+		t.late.Deliver(at, Result{Req: req, Submit: now, Deliver: at, Err: true}, done)
 		return
 	}
-	f := t.newFlight()
-	f.done = done
-	p.inner.Submit(req, f.fn)
+	p.Port.Submit(req, t.calls.Call(req, done))
 }
-
-// CanIssue and WaitIssue delegate: shutdown zones keep admitting (and
-// rejecting) traffic so closed-loop drivers never park on a waiter
-// that nothing would ever re-fire.
-func (p *throttlePort) CanIssue(addr uint64) bool        { return p.inner.CanIssue(addr) }
-func (p *throttlePort) WaitIssue(addr uint64, fn func()) { p.inner.WaitIssue(addr, fn) }
-
-var _ Backend = (*Throttle)(nil)

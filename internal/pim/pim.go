@@ -68,40 +68,27 @@ type Compare struct {
 // localPort is a compute element in the cube's logic layer: its
 // requests enter the vault controller through hmc.Device.SubmitLocal,
 // skipping the SerDes links, quadrant routing and the host controller.
-// Completions convert to mem.Result through pooled calls, like the mem
-// adapters', so the port allocates nothing in steady state.
+// Completions convert to mem.Result through a mem.Calls pool, like the
+// mem adapters', so the port allocates nothing in steady state.
 type localPort struct {
-	eng  *sim.Engine
-	dev  *hmc.Device
-	free *localCall
+	eng   *sim.Engine
+	dev   *hmc.Device
+	calls mem.Calls[hmc.AccessResult]
 }
 
-// localCall carries one in-flight access's completion callback; its fn
-// closure is built once and reused.
-type localCall struct {
-	done mem.Done
-	fn   func(hmc.AccessResult)
-	next *localCall
+// newLocalPort builds a compute element's port into dev's vaults.
+func newLocalPort(eng *sim.Engine, dev *hmc.Device) *localPort {
+	return &localPort{eng: eng, dev: dev, calls: mem.NewCalls(func(c *mem.Call[hmc.AccessResult]) func(hmc.AccessResult) {
+		return func(r hmc.AccessResult) {
+			req, done := c.Release()
+			done(mem.Result{Req: req, Submit: r.Submit, Deliver: r.Deliver, Err: r.Err})
+		}
+	})}
 }
 
 // Submit hands the request straight to its vault at the current time.
 func (p *localPort) Submit(req mem.Request, done mem.Done) {
-	c := p.free
-	if c == nil {
-		c = &localCall{}
-		c.fn = func(r hmc.AccessResult) {
-			done := c.done
-			c.done, c.next, p.free = nil, p.free, c
-			done(mem.Result{
-				Req:    mem.Request{Addr: r.Req.Addr, Size: r.Req.Size, Write: r.Req.Write},
-				Submit: r.Submit, Deliver: r.Deliver, Err: r.Err,
-			})
-		}
-	} else {
-		p.free = c.next
-	}
-	c.done = done
-	p.dev.SubmitLocal(p.eng.Now(), hmc.Request{Addr: req.Addr, Size: req.Size, Write: req.Write}, c.fn)
+	p.dev.SubmitLocal(p.eng.Now(), hmc.Request{Addr: req.Addr, Size: req.Size, Write: req.Write}, p.calls.Call(req, done))
 }
 
 // CanIssue always admits: the kernel's window is its only flow control.
@@ -113,12 +100,12 @@ func (*localPort) WaitIssue(_ uint64, fn func()) { fn() }
 // runPIM replays the kernel vault-locally, through a localPort on an
 // otherwise idle cube.
 func runPIM(k Kernel) (trace.ReplayResult, error) {
-	rig, err := gups.BuildRig(gups.Config{Ports: 1})
+	rig, err := gups.BuildRigPorts(gups.Config{}, nil)
 	if err != nil {
 		return trace.ReplayResult{}, err
 	}
 	defer rig.Eng.Release()
-	return trace.ReplayOn(rig.Backend, &localPort{eng: rig.Eng, dev: rig.Dev}, k.Gen(), trace.ReplayConfig{Window: k.Window})
+	return trace.ReplayOn(rig.Backend, newLocalPort(rig.Eng, rig.Dev), k.Gen(), trace.ReplayConfig{Window: k.Window})
 }
 
 // Offload runs the kernel both ways and assesses the PIM thermal

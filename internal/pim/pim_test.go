@@ -3,6 +3,8 @@ package pim
 import (
 	"testing"
 
+	"hmcsim/internal/gups"
+	"hmcsim/internal/mem"
 	"hmcsim/internal/trace"
 )
 
@@ -110,5 +112,34 @@ func TestPIMThermalPrice(t *testing.T) {
 func TestOffloadValidation(t *testing.T) {
 	if _, err := Offload(Kernel{}); err == nil {
 		t.Fatal("kernel without generator accepted")
+	}
+}
+
+// TestLocalPortSubmitZeroAlloc extends the mem adapters' zero-alloc
+// gate to the vault-local port: after pool warmup, a submission and
+// its completion allocate nothing when the caller passes a reusable
+// Done value.
+func TestLocalPortSubmitZeroAlloc(t *testing.T) {
+	rig, err := gups.BuildRigPorts(gups.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rig.Eng.Release()
+	port := newLocalPort(rig.Eng, rig.Dev)
+	pending := 0
+	done := func(mem.Result) { pending-- }
+	submit := func() {
+		pending++
+		port.Submit(mem.Request{Addr: 1 << 20, Size: 64}, done)
+		rig.Eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		submit() // warm the call and delivery pools
+	}
+	if allocs := testing.AllocsPerRun(200, submit); allocs > 0 {
+		t.Errorf("vault-local submit path allocates %.1f allocs/op, want 0", allocs)
+	}
+	if pending != 0 {
+		t.Fatalf("%d submissions never completed", pending)
 	}
 }

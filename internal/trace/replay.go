@@ -46,7 +46,7 @@ func Replay(gen Generator, cfg ReplayConfig) (ReplayResult, error) {
 	// port's 1 flit/cycle would cap any single stream at ~21 M refs/s).
 	fp := fpga.DefaultParams()
 	fp.RxDrainFlitsPerCycle = 4
-	rig, err := gups.BuildRig(gups.Config{FPGAParams: &fp, Ports: 1})
+	rig, err := gups.BuildRigPorts(gups.Config{FPGAParams: &fp}, nil)
 	if err != nil {
 		return ReplayResult{}, err
 	}
