@@ -47,11 +47,11 @@ type Config struct {
 
 // Injector decorates a Backend with plan-driven fault injection.
 type Injector struct {
-	// Backend is the decorated backend. The decorator is transparent
+	// backend is the decorated backend. The decorator is transparent
 	// to the scenario compiler, and injection only ever adds latency
 	// (stretches and floor-latency rejections), so the inner lookahead
 	// bound stays conservative.
-	mem.Backend
+	backend
 	eng    *sim.Engine
 	plan   Plan
 	zoneOf func(addr uint64) int
@@ -75,6 +75,10 @@ type Injector struct {
 	rejected uint64 // local outage rejections (inner never saw them)
 	outages  uint64 // outage windows entered (scripted + stochastic)
 }
+
+// backend names the decorated mem.Backend when it is embedded, so the
+// field stays private and Inner is the one way to reach it.
+type backend = mem.Backend
 
 // zoneState is one zone's outage state plus its stochastic process.
 type zoneState struct {
@@ -124,7 +128,7 @@ func New(inner mem.Backend, cfg Config) (*Injector, error) {
 		plan.RetryCost = inner.MinLatency()
 	}
 	inj := &Injector{
-		Backend:   inner,
+		backend:   inner,
 		eng:       inner.Engine(),
 		plan:      plan,
 		zoneOf:    zoneOf,
@@ -285,7 +289,7 @@ func expDraw(rng *sim.RNG, mean sim.Duration) sim.Duration {
 }
 
 // Inner returns the decorated backend (decorator-stack walking).
-func (inj *Injector) Inner() mem.Backend { return inj.Backend }
+func (inj *Injector) Inner() mem.Backend { return inj.backend }
 
 // Injected counts transient link retries injected so far.
 func (inj *Injector) Injected() uint64 { return inj.injected }
@@ -295,7 +299,7 @@ func (inj *Injector) Outages() uint64 { return inj.outages }
 
 // Counters reports the inner totals plus local outage rejections.
 func (inj *Injector) Counters() mem.Counters {
-	c := inj.Backend.Counters()
+	c := inj.backend.Counters()
 	c.Errors += inj.rejected
 	return c
 }
@@ -306,7 +310,7 @@ func (inj *Injector) Port(i int) mem.Port {
 		inj.ports = append(inj.ports, nil)
 	}
 	if inj.ports[i] == nil {
-		inj.ports[i] = &faultPort{Port: inj.Backend.Port(i), inj: inj}
+		inj.ports[i] = &faultPort{Port: inj.backend.Port(i), inj: inj}
 	}
 	return inj.ports[i]
 }

@@ -19,20 +19,7 @@ type HMC struct {
 	dev   *hmc.Device
 	ctrl  *fpga.Controller
 	ports []hmcPort
-	free  *hmcCall
-}
-
-// hmcCall converts one in-flight fpga.Result to Result; pooled on the
-// backend, its fn closure is built once and reused. It stays written
-// out, not a Calls, because every gups.Port read takes this path and
-// newCall inlines into Submit, while Calls.Call (whose slow path calls
-// wrap) is over the inliner's budget.
-type hmcCall struct {
-	be   *HMC
-	req  Request
-	done Done
-	fn   func(fpga.Result)
-	next *hmcCall
+	calls Calls[fpga.Result]
 }
 
 type hmcPort struct {
@@ -43,6 +30,12 @@ type hmcPort struct {
 // NewHMC wraps an already-wired device + controller pair.
 func NewHMC(eng *sim.Engine, dev *hmc.Device, ctrl *fpga.Controller) *HMC {
 	be := &HMC{eng: eng, dev: dev, ctrl: ctrl}
+	be.calls = NewCalls(func(c *Call[fpga.Result]) func(fpga.Result) {
+		return func(r fpga.Result) {
+			req, done := c.Release()
+			done(Result{Req: req, Submit: r.AccessResult.Submit, Deliver: r.PortDeliver, Err: r.Err})
+		}
+	})
 	be.ports = make([]hmcPort, ctrl.Params().Ports)
 	for i := range be.ports {
 		be.ports[i] = hmcPort{be: be, id: i}
@@ -112,28 +105,9 @@ func (b *HMC) Counters() Counters {
 	}
 }
 
-func (b *HMC) newCall() *hmcCall {
-	c := b.free
-	if c == nil {
-		c = &hmcCall{be: b}
-		c.fn = func(r fpga.Result) {
-			done, req := c.done, c.req
-			c.done = nil
-			c.next = c.be.free
-			c.be.free = c
-			done(Result{Req: req, Submit: r.AccessResult.Submit, Deliver: r.PortDeliver, Err: r.Err})
-		}
-	} else {
-		b.free = c.next
-	}
-	return c
-}
-
 // Submit hands the request to the controller on this port's identity.
 func (p *hmcPort) Submit(req Request, done Done) {
-	c := p.be.newCall()
-	c.req, c.done = req, done
-	p.be.ctrl.Submit(hmc.Request{Addr: req.Addr, Size: req.Size, Write: req.Write, Port: p.id}, c.fn)
+	p.be.ctrl.Submit(hmc.Request{Addr: req.Addr, Size: req.Size, Write: req.Write, Port: p.id}, p.be.calls.Call(req, done))
 }
 
 // CanIssue consults the controller's per-bank stop signal.

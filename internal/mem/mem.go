@@ -9,17 +9,17 @@
 // The contract mirrors the event kernel's zero-allocation discipline:
 // Submit stores the caller's completion callback (never wraps it in a
 // fresh closure), and every adapter converts its native completion
-// record to Result through a pooled, reusable adapter (a Calls; HMC's
-// hand-written hmcCall is the one exception); the decorators deliver
-// their stretched and rejected completions through a sim.Deliverer. A caller that passes a reusable Done value keeps
+// record to Result through a pooled, reusable adapter (a Calls); the
+// decorators deliver their stretched and rejected completions through
+// a sim.Deliverer. A caller that passes a reusable Done value keeps
 // the whole submission path at 0 allocs/op in steady state, exactly
 // like scheduling a sim.Handler.
 //
 // Adding a fourth backend is three steps: implement Backend/Port over
-// the new model (pool the completion conversion in a Calls, as DDR and
-// Chain do), give it a name in the scenario compiler's backend switch,
-// and register whatever scn-* specs should exercise it. The drivers
-// need no changes.
+// the new model (pool the completion conversion in a Calls, as the
+// three adapters do), give it a name in the scenario compiler's
+// backend switch, and register whatever scn-* specs should exercise
+// it. The drivers need no changes.
 package mem
 
 import "hmcsim/internal/sim"

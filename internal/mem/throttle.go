@@ -18,11 +18,10 @@ import "hmcsim/internal/sim"
 // in-flight access borrows a pooled completion adapter (Calls), and
 // stretched and rejected completions ride a sim.Deliverer.
 type Throttle struct {
-	// Backend is the decorated backend. The decorator is transparent
-	// to the scenario compiler's backend switch, and throttling only
-	// ever adds latency, so the inner lookahead bound stays
-	// conservative.
-	Backend
+	// inner is the decorated backend. The decorator is transparent to
+	// the scenario compiler's backend switch, and throttling only ever
+	// adds latency, so the inner lookahead bound stays conservative.
+	inner
 	eng *sim.Engine
 	// zoneOf maps an address to its thermal zone (cube of a chain,
 	// the single device otherwise).
@@ -36,6 +35,10 @@ type Throttle struct {
 	// backend never sees them.
 	rejected uint64
 }
+
+// inner names the decorated Backend when it is embedded, so the field
+// stays private and Inner is the one way to reach it.
+type inner = Backend
 
 type zoneState struct {
 	level int
@@ -65,12 +68,12 @@ func NewThrottle(inner Backend, zones int, zoneOf func(addr uint64) int, unit si
 		zoneOf = func(uint64) int { return 0 }
 	}
 	t := &Throttle{
-		Backend: inner,
-		eng:     inner.Engine(),
-		zoneOf:  zoneOf,
-		unit:    unit,
-		zones:   make([]zoneState, zones),
-		late:    sim.NewDeliverer[Result](inner.Engine()),
+		inner:  inner,
+		eng:    inner.Engine(),
+		zoneOf: zoneOf,
+		unit:   unit,
+		zones:  make([]zoneState, zones),
+		late:   sim.NewDeliverer[Result](inner.Engine()),
 	}
 	t.calls = NewCalls(func(c *Call[Result]) func(Result) {
 		return func(r Result) {
@@ -88,7 +91,7 @@ func NewThrottle(inner Backend, zones int, zoneOf func(addr uint64) int, unit si
 }
 
 // Inner returns the decorated backend.
-func (t *Throttle) Inner() Backend { return t.Backend }
+func (t *Throttle) Inner() Backend { return t.inner }
 
 // Zones reports the zone count.
 func (t *Throttle) Zones() int { return len(t.zones) }
@@ -115,7 +118,7 @@ func (t *Throttle) Rejected() uint64 { return t.rejected }
 // Counters reports the inner totals plus shutdown rejections (which
 // the inner backend never saw).
 func (t *Throttle) Counters() Counters {
-	c := t.Backend.Counters()
+	c := t.inner.Counters()
 	c.Errors += t.rejected
 	return c
 }
@@ -127,7 +130,7 @@ func (t *Throttle) Port(i int) Port {
 		t.ports = append(t.ports, nil)
 	}
 	if t.ports[i] == nil {
-		t.ports[i] = &throttlePort{Port: t.Backend.Port(i), t: t}
+		t.ports[i] = &throttlePort{Port: t.inner.Port(i), t: t}
 	}
 	return t.ports[i]
 }
