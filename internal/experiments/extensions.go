@@ -158,6 +158,11 @@ func ExtOpenPage(o Options) (*ExtOpenPageData, error) {
 	if tot := c.RowHits + c.RowMisses; tot > 0 {
 		d.RowHitRate = float64(c.RowHits) / float64(tot)
 	}
+	for _, p := range rig.Ports {
+		m := p.TakeMonitor()
+		m.Release()
+	}
+	rig.Eng.Release()
 	return d, nil
 }
 

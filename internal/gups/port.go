@@ -178,10 +178,12 @@ type Port struct {
 	readDone  func(mem.Result) // read completion
 	writeDone func(mem.Result) // write completion
 
-	// mixRNG draws the read/write intent for Mixed ports; the intent
-	// is held until issuable so blocking does not skew the ratio.
-	mixRNG    *sim.RNG
-	mixIntent int // 0 = none drawn, 1 = read, 2 = write
+	// mixRNG draws the read/write intent for Mixed ports, one draw per
+	// committed op: the intent is held until issuable so blocking does
+	// not skew the ratio, and it is drawn at commit (the first one in
+	// NewPort), so nextOp knows which resource the next op waits for.
+	mixRNG  *sim.RNG
+	mixRead bool // a Mixed port's next op is a read
 
 	mon Monitor
 }
@@ -216,11 +218,17 @@ func NewPort(id int, b mem.Backend, cfg PortConfig) *Port {
 			p.wfifoDepth = cfg.Outstanding
 		}
 	}
+	if cfg.Type == Mixed {
+		p.drawIntent()
+	}
 	p.wake = p.wakeUp
 	p.readDone = p.onReadDone
 	p.writeDone = p.onWriteDone
 	return p
 }
+
+// drawIntent draws a Mixed port's next read/write intent.
+func (p *Port) drawIntent() { p.mixRead = p.mixRNG.Float64() < p.cfg.ReadFraction }
 
 // Fire runs the issue loop: the port is its own retry/pacing event,
 // so arming a wakeup never allocates. Only the armed event (or the
@@ -229,6 +237,9 @@ func NewPort(id int, b mem.Backend, cfg PortConfig) *Port {
 // event in place, or every completion would arm a duplicate event
 // that re-arms itself forever (quadratic event processing under
 // open-loop pacing, where completions land between issue instants).
+// A closed-loop port is armed only while it can issue: one that is
+// out of tags or write-FIFO slots waits for the completion that frees
+// one, and that completion's tryIssue arms the event (see tryIssue).
 func (p *Port) Fire(*sim.Engine) {
 	p.wakePending = false
 	p.tryIssue()
@@ -261,41 +272,32 @@ func (p *Port) TakeMonitor() Monitor {
 // ResetMonitor clears measured data (keeps the measuring gate).
 func (p *Port) ResetMonitor() { p.mon.Reset() }
 
-// nextOp decides what the arbitration unit would issue next.
-// It returns the address, whether it is a write, and whether the
-// port can issue at all right now.
-func (p *Port) nextOp() (addr uint64, write, ok bool) {
-	// RMW writes have priority: they drain the write FIFO that the
-	// read stream fills.
-	if p.cfg.Type == ReadModifyWrite && p.rmwPending.Len() > 0 && p.writesOut < p.wfifoDepth {
-		a, _ := p.rmwPending.Peek()
-		return a, true, true
-	}
+// nextOp decides what the arbitration unit would issue next: whether
+// it is a write, and whether a tag or write-FIFO slot is free for it.
+// It reads only the port's counters and its held Mixed intent, so
+// tryIssue asks it again after a commit.
+func (p *Port) nextOp() (write, ok bool) {
+	readRoom := p.tagsInUse < p.tagDepth
+	writeRoom := p.writesOut < p.wfifoDepth
 	switch p.cfg.Type {
+	case ReadOnly:
+		return false, readRoom
 	case WriteOnly:
-		if p.writesOut < p.wfifoDepth {
-			return p.gen.Peek(), true, true
+		return true, writeRoom
+	case ReadModifyWrite:
+		// RMW writes have priority: they drain the write FIFO that the
+		// read stream fills.
+		if writeRoom && p.rmwPending.Len() > 0 {
+			return true, true
 		}
-	case ReadOnly, ReadModifyWrite:
-		if p.tagsInUse < p.tagDepth {
-			return p.gen.Peek(), false, true
-		}
+		return false, readRoom
 	case Mixed:
-		if p.mixIntent == 0 {
-			if p.mixRNG.Float64() < p.cfg.ReadFraction {
-				p.mixIntent = 1
-			} else {
-				p.mixIntent = 2
-			}
+		if p.mixRead {
+			return false, readRoom
 		}
-		if p.mixIntent == 1 && p.tagsInUse < p.tagDepth {
-			return p.gen.Peek(), false, true
-		}
-		if p.mixIntent == 2 && p.writesOut < p.wfifoDepth {
-			return p.gen.Peek(), true, true
-		}
+		return true, writeRoom
 	}
-	return 0, false, false
+	return false, false
 }
 
 // tryIssue is the issue loop body; it is idempotent and safe to call
@@ -303,15 +305,33 @@ func (p *Port) nextOp() (addr uint64, write, ok bool) {
 // admission slot). It never clears wakePending itself: the
 // event/callback entry points (Fire, wakeUp) do, so a tryIssue driven
 // by a completion cannot shadow an already-armed pacing event.
+//
+// After a commit it arms the next issue attempt, except on a
+// closed-loop port that has just taken its last tag or write-FIFO
+// slot: no attempt could issue before a completion frees one, and the
+// completion calls tryIssue itself, arming the same wake for the same
+// instant while nextIssue is still ahead. That saves one event per
+// saturated request. Paced ports (Arrivals set) always arm: their
+// arrival clocks tick in lockstep across ports, so a wake armed later,
+// at a completion, would take a later sequence number than another
+// port's wake at the same instant, swap the two ports' order into the
+// controller and change the results.
 func (p *Port) tryIssue() {
 	now := p.eng.Now()
 	if now < p.nextIssue {
 		p.armRetry(p.nextIssue)
 		return
 	}
-	addr, write, ok := p.nextOp()
+	write, ok := p.nextOp()
 	if !ok {
 		return // blocked on tags/FIFO; a completion will wake us
+	}
+	rmwWrite := write && p.cfg.Type == ReadModifyWrite
+	var addr uint64
+	if rmwWrite {
+		addr, _ = p.rmwPending.Peek()
+	} else {
+		addr = p.gen.Peek()
 	}
 	if !p.port.CanIssue(addr) {
 		// Flow-control stop signal: pause generation until the backend
@@ -323,17 +343,18 @@ func (p *Port) tryIssue() {
 		return
 	}
 	// Commit the operation.
-	p.mixIntent = 0
+	if rmwWrite {
+		p.rmwPending.Pop()
+	} else {
+		p.gen.Next()
+	}
+	if p.cfg.Type == Mixed {
+		p.drawIntent()
+	}
 	if write {
-		if p.cfg.Type == ReadModifyWrite {
-			p.rmwPending.Pop()
-		} else {
-			p.gen.Next()
-		}
 		p.writesOut++
 		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Size, Write: true}, p.writeDone)
 	} else {
-		p.gen.Next()
 		p.tagsInUse++
 		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Size}, p.readDone)
 	}
@@ -349,6 +370,9 @@ func (p *Port) tryIssue() {
 		// Closed loop: the hardware issue cadence is a minimum spacing
 		// from the actual issue, not an arrival clock.
 		p.nextIssue = now + p.interval
+		if _, ok := p.nextOp(); !ok {
+			return // out of tags/FIFO: the freeing completion arms the wake
+		}
 	}
 	at := p.nextIssue
 	if at < now {
@@ -358,6 +382,8 @@ func (p *Port) tryIssue() {
 }
 
 // armRetry schedules the next issue attempt, collapsing duplicates.
+// Callers decide whether an attempt is worth an event: tryIssue skips
+// it on a closed-loop port that cannot issue until a completion.
 func (p *Port) armRetry(at sim.Time) {
 	if p.wakePending {
 		return

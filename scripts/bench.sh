@@ -8,9 +8,12 @@
 #
 #   $OUT/kernel.txt         raw `go test -bench` output for the kernel,
 #                           for one closed-loop HMC read through
-#                           mem.HMC (BenchmarkHMCRequest) and for one
+#                           mem.HMC (BenchmarkHMCRequest), for one
 #                           port-monitor completion record
-#                           (BenchmarkMonitorRecord)
+#                           (BenchmarkMonitorRecord) and for one request
+#                           through nine closed-loop gups.Port issue
+#                           loops (BenchmarkPortRequest, with its
+#                           events/req)
 #                           (benchstat-comparable; feed two of these to
 #                           `benchstat old.txt new.txt`)
 #   $OUT/figures_bench.txt  raw output for the table/figure benchmarks
@@ -78,7 +81,7 @@ go test ./internal/sim -run '^$' -bench "$kernel_bench" \
 go test ./internal/mem -run '^$' -bench '^BenchmarkHMCRequest$' \
   -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
   | tee -a "$out/kernel.txt"
-go test ./internal/gups -run '^$' -bench '^BenchmarkMonitorRecord$' \
+go test ./internal/gups -run '^$' -bench '^(BenchmarkMonitorRecord|BenchmarkPortRequest)$' \
   -benchtime "$kernel_time" -count "$kernel_count" -benchmem \
   | tee -a "$out/kernel.txt"
 
