@@ -57,6 +57,11 @@ func TestInvalidOptionsAre400(t *testing.T) {
 		"bad traffic":          `{"name": "chain-4", "options": {"traffic": "warp:1"}}`,
 		"unknown option field": `{"name": "chain-4", "options": {"bogus": 1}}`,
 		"unknown fault field":  `{"name": "chain-4", "options": {"faults": {"bogus": 1}}}`,
+		// NaN durations and probabilities: converted to int64, a NaN
+		// duration would read as math.MinInt64 ps.
+		"NaN retry cost": `{"name": "uniform", "options": {"faults": {"plan": "retry=NaNus"}}}`,
+		"NaN event time": `{"name": "uniform", "options": {"faults": {"plan": "fail=2@NaNus"}}}`,
+		"NaN error rate": `{"name": "uniform", "options": {"faults": {"plan": "rate=NaN"}}}`,
 	} {
 		for _, ep := range []string{"/v1/run", "/v1/sweep", "/v1/jobs"} {
 			if resp, body := post(t, ts.URL+ep, req); resp.StatusCode != http.StatusBadRequest {

@@ -34,7 +34,7 @@ func main() {
 	fmt.Println("\nFigure 6 mask positions (8 bits forced to zero):")
 	for _, mp := range workloads.Figure6Masks() {
 		v, b := workloads.Coverage(amap, mp.ZeroMask)
-		fmt.Printf("  bits %-6s -> %2d vaults x %2d banks\n", mp.Label, v, b)
+		fmt.Printf("  bits %-6s -> %2d vaults x %2d banks\n", mp.Name, v, b)
 	}
 
 	// 3. Bandwidth consequence of selected restrictions.

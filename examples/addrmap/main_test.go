@@ -19,7 +19,7 @@ func TestAddrmapSmoke(t *testing.T) {
 	for _, pos := range workloads.Figure6Masks() {
 		vaults, banks := workloads.Coverage(m, pos.ZeroMask)
 		if vaults < 1 || banks < 1 {
-			t.Errorf("mask %s leaves no reachable structure", pos.Label)
+			t.Errorf("mask %s leaves no reachable structure", pos.Name)
 		}
 	}
 }

@@ -25,8 +25,9 @@ func runCell(o Options, ty gups.ReqType, size int, zeroMask uint64, mode gups.Mo
 
 // Figure6Data holds the mask-position bandwidth sweep.
 type Figure6Data struct {
-	Masks []workloads.MaskPosition
-	// BW[maskIndex][type] is raw bandwidth in GB/s.
+	// Masks are the mask positions, each named by its bit range.
+	Masks []workloads.Pattern
+	// BW[maskLabel][type] is raw bandwidth in GB/s.
 	BW map[string]map[gups.ReqType]float64
 }
 
@@ -34,29 +35,11 @@ type Figure6Data struct {
 // 128 B ro/rw/wo when address bits [lo,hi] are forced to zero.
 func Figure6(o Options) (*Figure6Data, error) {
 	masks := workloads.Figure6Masks()
-	type cell struct {
-		label string
-		ty    gups.ReqType
-		bw    float64
-	}
-	n := len(masks) * len(allTypes)
-	cells, err := parallelMap(o, n, func(i int) (cell, error) {
-		m := masks[i/len(allTypes)]
-		ty := allTypes[i%len(allTypes)]
-		res := runCell(o, ty, 128, m.ZeroMask, gups.Random, 0)
-		return cell{label: m.Label, ty: ty, bw: res.RawGBps}, nil
-	})
+	cells, err := typeSweep(o, masks)
 	if err != nil {
 		return nil, err
 	}
-	d := &Figure6Data{Masks: masks, BW: map[string]map[gups.ReqType]float64{}}
-	for _, c := range cells {
-		if d.BW[c.label] == nil {
-			d.BW[c.label] = map[gups.ReqType]float64{}
-		}
-		d.BW[c.label][c.ty] = c.bw
-	}
-	return d, nil
+	return &Figure6Data{Masks: masks, BW: rawBW(cells)}, nil
 }
 
 // Report renders Figure 6.
@@ -66,8 +49,8 @@ func (d *Figure6Data) Report() Report {
 		Cols:  []string{"Mask bits", "ro", "rw", "wo"},
 	}
 	for _, m := range d.Masks {
-		g.AddRow(m.Label, f2(d.BW[m.Label][gups.ReadOnly]),
-			f2(d.BW[m.Label][gups.ReadModifyWrite]), f2(d.BW[m.Label][gups.WriteOnly]))
+		g.AddRow(m.Name, f2(d.BW[m.Name][gups.ReadOnly]),
+			f2(d.BW[m.Name][gups.ReadModifyWrite]), f2(d.BW[m.Name][gups.WriteOnly]))
 	}
 	return Report{ID: "figure6", Title: "Bandwidth vs Address-Mask Position", Grids: []Grid{g},
 		Notes: []string{"two half-width links active; raw bandwidth includes header and tail"}}
@@ -80,32 +63,25 @@ type Figure7Data struct {
 }
 
 // Figure7 reproduces bandwidth for 128 B ro/rw/wo across the standard
-// access patterns.
+// access patterns: the cells of the thermal sweep.
 func Figure7(o Options) (*Figure7Data, error) {
-	pats := workloads.Standard()
-	type cell struct {
-		pat string
-		ty  gups.ReqType
-		bw  float64
-	}
-	n := len(pats) * len(allTypes)
-	cells, err := parallelMap(o, n, func(i int) (cell, error) {
-		p := pats[i/len(allTypes)]
-		ty := allTypes[i%len(allTypes)]
-		res := runCell(o, ty, 128, p.ZeroMask, gups.Random, 0)
-		return cell{pat: p.Name, ty: ty, bw: res.RawGBps}, nil
-	})
+	cells, err := thermalSweep(o)
 	if err != nil {
 		return nil, err
 	}
-	d := &Figure7Data{Patterns: pats, BW: map[string]map[gups.ReqType]float64{}}
+	return &Figure7Data{Patterns: workloads.Standard(), BW: rawBW(cells)}, nil
+}
+
+// rawBW folds type-sweep cells into raw bandwidth per pattern and type.
+func rawBW(cells []ThermalCell) map[string]map[gups.ReqType]float64 {
+	bw := map[string]map[gups.ReqType]float64{}
 	for _, c := range cells {
-		if d.BW[c.pat] == nil {
-			d.BW[c.pat] = map[gups.ReqType]float64{}
+		if bw[c.Pattern] == nil {
+			bw[c.Pattern] = map[gups.ReqType]float64{}
 		}
-		d.BW[c.pat][c.ty] = c.bw
+		bw[c.Pattern][c.Type] = c.Result.RawGBps
 	}
-	return d, nil
+	return bw
 }
 
 // Report renders Figure 7.
@@ -132,36 +108,47 @@ type Figure8Data struct {
 // Figure8 reproduces read-only bandwidth and million-requests-per-
 // second across patterns for 128/64/32 B requests.
 func Figure8(o Options) (*Figure8Data, error) {
-	pats := workloads.Standard()
-	sizes := []int{128, 64, 32}
-	type cell struct {
-		pat  string
-		size int
-		res  gups.Result
-	}
-	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) (cell, error) {
-		p := pats[i/len(sizes)]
-		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, res: runCell(o, gups.ReadOnly, size, p.ZeroMask, gups.Random, 0)}, nil
-	})
+	cells, err := sizeSweep(o)
 	if err != nil {
 		return nil, err
 	}
 	d := &Figure8Data{
-		Patterns: pats,
+		Patterns: workloads.Standard(),
 		BW:       map[string]map[int]float64{},
 		MRPS:     map[string]map[int]float64{},
 	}
-	for _, c := range cells {
-		if d.BW[c.pat] == nil {
-			d.BW[c.pat] = map[int]float64{}
-			d.MRPS[c.pat] = map[int]float64{}
+	for pat, bySize := range cells {
+		d.BW[pat] = map[int]float64{}
+		d.MRPS[pat] = map[int]float64{}
+		for size, res := range bySize {
+			d.BW[pat][size] = res.RawGBps
+			d.MRPS[pat][size] = res.MRPS
 		}
-		d.BW[c.pat][c.size] = c.res.RawGBps
-		d.MRPS[c.pat][c.size] = c.res.MRPS
 	}
 	return d, nil
+}
+
+// sizeSweep runs the 27 full-scale read-only cells Figures 8 and 16
+// share, the nine standard patterns at 128, 64 and 32 B, and returns
+// them by pattern name and size.
+func sizeSweep(o Options) (map[string]map[int]gups.Result, error) {
+	pats := workloads.Standard()
+	sizes := []int{128, 64, 32}
+	res, err := parallelMap(o, len(pats)*len(sizes), func(i int) (gups.Result, error) {
+		return runCell(o, gups.ReadOnly, sizes[i%len(sizes)], pats[i/len(sizes)].ZeroMask, gups.Random, 0), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	cells := map[string]map[int]gups.Result{}
+	for i, r := range res {
+		pat := pats[i/len(sizes)].Name
+		if cells[pat] == nil {
+			cells[pat] = map[int]gups.Result{}
+		}
+		cells[pat][sizes[i%len(sizes)]] = r
+	}
+	return cells, nil
 }
 
 // Report renders Figure 8.

@@ -155,35 +155,23 @@ type Figure16Data struct {
 }
 
 // Figure16 reproduces the high-load read latency experiment across
-// patterns for 128/64/32 B requests.
+// patterns for 128/64/32 B requests: the cells of Figure 8.
 func Figure16(o Options) (*Figure16Data, error) {
-	pats := workloads.Standard()
-	sizes := []int{128, 64, 32}
-	type cell struct {
-		pat  string
-		size int
-		res  gups.Result
-	}
-	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) (cell, error) {
-		p := pats[i/len(sizes)]
-		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, res: runCell(o, gups.ReadOnly, size, p.ZeroMask, gups.Random, 0)}, nil
-	})
+	cells, err := sizeSweep(o)
 	if err != nil {
 		return nil, err
 	}
 	d := &Figure16Data{LatencyUs: map[string]map[int]float64{}, BW: map[string]map[int]float64{}}
-	for _, p := range pats {
+	for _, p := range workloads.Standard() {
 		d.Patterns = append(d.Patterns, p.Name)
 	}
-	for _, c := range cells {
-		if d.LatencyUs[c.pat] == nil {
-			d.LatencyUs[c.pat] = map[int]float64{}
-			d.BW[c.pat] = map[int]float64{}
+	for pat, bySize := range cells {
+		d.LatencyUs[pat] = map[int]float64{}
+		d.BW[pat] = map[int]float64{}
+		for size, res := range bySize {
+			d.LatencyUs[pat][size] = res.ReadHistNs.Mean() / 1000
+			d.BW[pat][size] = res.RawGBps
 		}
-		d.LatencyUs[c.pat][c.size] = c.res.ReadHistNs.Mean() / 1000
-		d.BW[c.pat][c.size] = c.res.RawGBps
 	}
 	return d, nil
 }
@@ -250,40 +238,27 @@ func figure17Patterns() []workloads.Pattern {
 }
 
 // Figure17 reproduces the latency-vs-request-bandwidth study for
-// four-bank and two-bank access patterns.
+// four-bank and two-bank access patterns: Figure 18's curves for two
+// of its patterns.
 func Figure17(o Options) (*Figure17Data, error) {
-	pats := figure17Patterns()
-	sizes := []int{16, 32, 64, 128}
-	type cell struct {
-		pat  string
-		size int
-		pts  []CurvePoint
-	}
-	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) (cell, error) {
-		p := pats[i/len(sizes)]
-		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, pts: sweepPorts(o, p.ZeroMask, size)}, nil
-	})
+	c, err := portCurves(o, figure17Patterns())
 	if err != nil {
 		return nil, err
 	}
 	d := &Figure17Data{
-		Sizes:            sizes,
-		Curves:           map[string]map[int][]CurvePoint{},
+		Sizes:            c.Sizes,
+		Curves:           c.Curves,
 		OutstandingAtSat: map[string]map[int]float64{},
 		SaturationBW:     map[string]map[int]float64{},
 	}
-	for _, c := range cells {
-		if d.Curves[c.pat] == nil {
-			d.Curves[c.pat] = map[int][]CurvePoint{}
-			d.OutstandingAtSat[c.pat] = map[int]float64{}
-			d.SaturationBW[c.pat] = map[int]float64{}
+	for pat, bySize := range c.Curves {
+		d.OutstandingAtSat[pat] = map[int]float64{}
+		d.SaturationBW[pat] = map[int]float64{}
+		for size, pts := range bySize {
+			sat := pts[len(pts)-1]
+			d.OutstandingAtSat[pat][size] = stats.Littles(sat.MRPS*1e6, sat.LatencyUs/1e6)
+			d.SaturationBW[pat][size] = sat.BWGBps
 		}
-		d.Curves[c.pat][c.size] = c.pts
-		sat := c.pts[len(c.pts)-1]
-		d.OutstandingAtSat[c.pat][c.size] = stats.Littles(sat.MRPS*1e6, sat.LatencyUs/1e6)
-		d.SaturationBW[c.pat][c.size] = sat.BWGBps
 	}
 	return d, nil
 }
@@ -365,18 +340,16 @@ type Figure18Data struct {
 
 // Figure18 extends Figure 17 to all nine patterns and four sizes.
 func Figure18(o Options) (*Figure18Data, error) {
-	pats := workloads.Standard()
+	return portCurves(o, workloads.Standard())
+}
+
+// portCurves runs the small-scale port sweep (read-only, 1..9 ports)
+// of every pattern at 16, 32, 64 and 128 B: the one sweep behind
+// Figures 17 and 18.
+func portCurves(o Options, pats []workloads.Pattern) (*Figure18Data, error) {
 	sizes := []int{16, 32, 64, 128}
-	type cell struct {
-		pat  string
-		size int
-		pts  []CurvePoint
-	}
-	n := len(pats) * len(sizes)
-	cells, err := parallelMap(o, n, func(i int) (cell, error) {
-		p := pats[i/len(sizes)]
-		size := sizes[i%len(sizes)]
-		return cell{pat: p.Name, size: size, pts: sweepPorts(o, p.ZeroMask, size)}, nil
+	cells, err := parallelMap(o, len(pats)*len(sizes), func(i int) ([]CurvePoint, error) {
+		return sweepPorts(o, pats[i/len(sizes)].ZeroMask, sizes[i%len(sizes)]), nil
 	})
 	if err != nil {
 		return nil, err
@@ -384,12 +357,10 @@ func Figure18(o Options) (*Figure18Data, error) {
 	d := &Figure18Data{Sizes: sizes, Curves: map[string]map[int][]CurvePoint{}}
 	for _, p := range pats {
 		d.Patterns = append(d.Patterns, p.Name)
+		d.Curves[p.Name] = map[int][]CurvePoint{}
 	}
-	for _, c := range cells {
-		if d.Curves[c.pat] == nil {
-			d.Curves[c.pat] = map[int][]CurvePoint{}
-		}
-		d.Curves[c.pat][c.size] = c.pts
+	for i, pts := range cells {
+		d.Curves[pats[i/len(sizes)].Name][sizes[i%len(sizes)]] = pts
 	}
 	return d, nil
 }

@@ -21,11 +21,17 @@ type ThermalCell struct {
 	Activity power.Activity
 }
 
-// thermalSweep runs the 27 full-scale GUPS cells shared by Figures
-// 9-12 (the paper reuses the same access patterns for its thermal and
-// power studies).
+// thermalSweep runs the 27 full-scale GUPS cells shared by Figures 7
+// and 9-12 (the paper reuses the same access patterns for its
+// thermal and power studies).
 func thermalSweep(o Options) ([]ThermalCell, error) {
-	pats := workloads.Standard()
+	return typeSweep(o, workloads.Standard())
+}
+
+// typeSweep runs full-scale 128 B ro/rw/wo cells over a list of
+// footprints, pattern-major in allTypes order: Figure 6 sweeps its
+// mask positions through it, thermalSweep the standard patterns.
+func typeSweep(o Options, pats []workloads.Pattern) ([]ThermalCell, error) {
 	n := len(pats) * len(allTypes)
 	return parallelMap(o, n, func(i int) (ThermalCell, error) {
 		p := pats[i/len(allTypes)]

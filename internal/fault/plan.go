@@ -93,7 +93,7 @@ func (p Plan) Normalize() Plan {
 // at or beyond it are ignored at run time with the same contract as
 // chain.Network.FailCube.
 func (p Plan) Validate() error {
-	if p.Rate < 0 || p.Rate > 1 {
+	if !(p.Rate >= 0 && p.Rate <= 1) { // written so that NaN fails
 		return fmt.Errorf("fault: rate %v outside [0,1]", p.Rate)
 	}
 	if p.RetryCost < 0 {
@@ -115,7 +115,7 @@ func (p Plan) Validate() error {
 				return fmt.Errorf("fault: %s zone %d negative", e.Kind, e.Zone)
 			}
 		case Rate:
-			if e.Rate < 0 || e.Rate > 1 {
+			if !(e.Rate >= 0 && e.Rate <= 1) {
 				return fmt.Errorf("fault: rate event %v outside [0,1]", e.Rate)
 			}
 		default:
@@ -133,20 +133,20 @@ func (p Plan) String() string {
 		parts = append(parts, "rate="+formatFloat(p.Rate))
 	}
 	if p.RetryCost != 0 {
-		parts = append(parts, "retry="+formatDur(p.RetryCost))
+		parts = append(parts, "retry="+sim.FormatDuration(p.RetryCost))
 	}
 	if p.MTBF != 0 {
-		parts = append(parts, "mtbf="+formatDur(p.MTBF))
+		parts = append(parts, "mtbf="+sim.FormatDuration(p.MTBF))
 	}
 	if p.MTTR != 0 {
-		parts = append(parts, "mttr="+formatDur(p.MTTR))
+		parts = append(parts, "mttr="+sim.FormatDuration(p.MTTR))
 	}
 	for _, e := range p.Events {
 		switch e.Kind {
 		case Fail, Repair:
-			parts = append(parts, fmt.Sprintf("%s=%d@%s", e.Kind, e.Zone, formatDur(e.At)))
+			parts = append(parts, fmt.Sprintf("%s=%d@%s", e.Kind, e.Zone, sim.FormatDuration(e.At)))
 		case Rate:
-			parts = append(parts, fmt.Sprintf("rate=%s@%s", formatFloat(e.Rate), formatDur(e.At)))
+			parts = append(parts, fmt.Sprintf("rate=%s@%s", formatFloat(e.Rate), sim.FormatDuration(e.At)))
 		}
 	}
 	return strings.Join(parts, ",")
@@ -163,8 +163,9 @@ func (p Plan) String() string {
 //	fail=2@300us,repair=2@500us    scripted outage window on zone 2
 //	rate=0.05@400us                error-rate change mid-run
 //
-// Durations take ps/ns/us/ms/s suffixes. The result is normalized
-// (events sorted by time) and validated.
+// Durations are sim.ParseDuration's: a finite, non-negative number
+// with a ps, ns, us, ms or s suffix, rounded to the picosecond. The
+// result is normalized (events sorted by time) and validated.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
 	for _, tok := range strings.Split(s, ",") {
@@ -179,7 +180,7 @@ func ParsePlan(s string) (Plan, error) {
 		val, at, timed := cutTime(val)
 		var atT sim.Time
 		if timed {
-			d, err := parseDur(at)
+			d, err := sim.ParseDuration(at)
 			if err != nil {
 				return Plan{}, fmt.Errorf("fault: token %q: %w", tok, err)
 			}
@@ -213,7 +214,7 @@ func ParsePlan(s string) (Plan, error) {
 			if timed {
 				return Plan{}, fmt.Errorf("fault: token %q: %s is not schedulable", tok, key)
 			}
-			d, err := parseDur(val)
+			d, err := sim.ParseDuration(val)
 			if err != nil {
 				return Plan{}, fmt.Errorf("fault: token %q: %w", tok, err)
 			}
@@ -240,56 +241,6 @@ func ParsePlan(s string) (Plan, error) {
 func cutTime(v string) (val, at string, ok bool) {
 	val, at, ok = strings.Cut(v, "@")
 	return val, at, ok
-}
-
-// durUnits maps suffixes to picosecond multipliers, longest first so
-// "us" is not mistaken for "s".
-var durUnits = []struct {
-	suffix string
-	unit   sim.Duration
-}{
-	{"ps", sim.Picosecond},
-	{"ns", sim.Nanosecond},
-	{"us", sim.Microsecond},
-	{"ms", sim.Millisecond},
-	{"s", sim.Second},
-}
-
-// parseDur parses a non-negative simulated duration with a ps/ns/us/
-// ms/s suffix. Fractions are allowed ("1.5us"); the result rounds to
-// the picosecond clock.
-func parseDur(s string) (sim.Duration, error) {
-	for _, u := range durUnits {
-		num, found := strings.CutSuffix(s, u.suffix)
-		if !found || num == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(num, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad duration %q: %w", s, err)
-		}
-		if v < 0 {
-			return 0, fmt.Errorf("negative duration %q", s)
-		}
-		d := sim.Duration(v*float64(u.unit) + 0.5)
-		if v > 0 && d <= 0 {
-			return 0, fmt.Errorf("duration %q overflows the picosecond clock", s)
-		}
-		return d, nil
-	}
-	return 0, fmt.Errorf("duration %q needs a ps/ns/us/ms/s suffix", s)
-}
-
-// formatDur renders a duration in the largest unit that divides it
-// exactly, so String round-trips through parseDur without loss.
-func formatDur(d sim.Duration) string {
-	for i := len(durUnits) - 1; i >= 0; i-- {
-		u := durUnits[i]
-		if d%u.unit == 0 {
-			return fmt.Sprintf("%d%s", int64(d/u.unit), u.suffix)
-		}
-	}
-	return fmt.Sprintf("%dps", int64(d))
 }
 
 // formatFloat renders a probability with full round-trip precision.

@@ -24,6 +24,9 @@ func FuzzFaultPlan(f *testing.F) {
 		"retry=1.5us,rate=1",
 		" rate=0.1 , fail=0@1ns ,",
 		"rate=nope,fail=@,@@=,=@",
+		"retry=NaNus",
+		"fail=2@NaNus",
+		"rate=NaN",
 	} {
 		f.Add(seed)
 	}

@@ -1,6 +1,7 @@
 package fault_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,6 +69,13 @@ func TestParsePlanErrors(t *testing.T) {
 		"fail=x@100us",         // bad zone
 		"fail=-1@100us",        // negative zone
 		"fail=2@100lightyears", // bad time unit
+		"retry=NaNus",          // NaN duration
+		"fail=2@NaNus",         // NaN event time
+		"repair=1@NaNns",       // NaN event time
+		"rate=0.1@NaNus",       // NaN event time
+		"mtbf=Infus,mttr=1us",  // infinite duration
+		"rate=NaN",             // NaN probability
+		"rate=NaN@1us",         // NaN event probability
 	} {
 		if p, err := fault.ParsePlan(in); err == nil {
 			t.Errorf("ParsePlan(%q) = %+v, want error", in, p)
@@ -146,6 +154,8 @@ func TestPlanValidate(t *testing.T) {
 		{fault.Plan{Events: []fault.Event{{At: -1}}}, "negative time"},
 		{fault.Plan{Events: []fault.Event{{Kind: fault.Fail, Zone: -2}}}, "zone"},
 		{fault.Plan{Events: []fault.Event{{Kind: fault.Rate, Rate: 7}}}, "rate"},
+		{fault.Plan{Rate: math.NaN()}, "rate"},
+		{fault.Plan{Events: []fault.Event{{Kind: fault.Rate, Rate: math.NaN()}}}, "rate"},
 		{fault.Plan{Events: []fault.Event{{Kind: fault.EventKind(99)}}}, "unknown"},
 	}
 	for _, c := range cases {

@@ -123,18 +123,14 @@ func PortLinearStart(i int) uint64 { return uint64(i)*(1<<11) + uint64(i)*(1<<21
 // config without running anything (used by the runners and tests).
 func BuildRig(cfg Config) (*Rig, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Ports < 0 {
+		return nil, fmt.Errorf("gups: negative port count %d", cfg.Ports)
+	}
 	pcs := make([]PortConfig, cfg.Ports)
+	gen := GenParams{Mode: cfg.Mode, Size: cfg.Size, ZeroMask: cfg.ZeroMask, OneMask: cfg.OneMask}
 	for i := range pcs {
-		pcs[i] = PortConfig{
-			Type:         cfg.Type,
-			Size:         cfg.Size,
-			Mode:         cfg.Mode,
-			ReadFraction: cfg.ReadFraction,
-			ZeroMask:     cfg.ZeroMask,
-			OneMask:      cfg.OneMask,
-			Seed:         PortSeed(cfg.Seed, i),
-			LinearStart:  PortLinearStart(i),
-		}
+		gen.Seed, gen.LinearStart = PortSeed(cfg.Seed, i), PortLinearStart(i)
+		pcs[i] = PortConfig{Type: cfg.Type, ReadFraction: cfg.ReadFraction, Gen: gen}
 	}
 	return BuildRigPorts(cfg, pcs)
 }
@@ -159,18 +155,13 @@ func BuildRigPortsOn(eng *sim.Engine, cfg Config, pcs []PortConfig) (*Rig, error
 		return nil, fmt.Errorf("gups: unknown HMC generation %d", cfg.Generation)
 	}
 	for _, pc := range pcs {
-		if !hmc.ValidPayload(pc.Size) {
-			return nil, fmt.Errorf("gups: invalid request size %d", pc.Size)
+		if !hmc.ValidPayload(pc.Gen.Size) {
+			return nil, fmt.Errorf("gups: invalid request size %d", pc.Gen.Size)
 		}
 		if pc.Type == Mixed && (pc.ReadFraction < 0 || pc.ReadFraction > 1) {
 			return nil, fmt.Errorf("gups: read fraction %v outside [0,1]", pc.ReadFraction)
 		}
-		gp := GenParams{
-			Mode: pc.Mode, Size: pc.Size, ZipfTheta: pc.ZipfTheta,
-			HotFraction: pc.HotFraction, HotRate: pc.HotRate,
-			StrideBytes: pc.StrideBytes, JumpEvery: pc.JumpEvery,
-		}
-		if err := gp.Validate(); err != nil {
+		if err := pc.Gen.Validate(); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package gups
 
 import (
+	"strings"
 	"testing"
 
 	"hmcsim/internal/hmc"
@@ -272,14 +273,18 @@ func TestMixedExtremesMatchPure(t *testing.T) {
 // the generator constructor (regression).
 func TestBuildRigPortsValidation(t *testing.T) {
 	base := Config{}
-	if _, err := BuildRigPorts(base, []PortConfig{{Type: ReadOnly, Size: 128, Mode: Zipfian, ZipfTheta: 1.5}}); err == nil {
+	if _, err := BuildRigPorts(base, []PortConfig{{Type: ReadOnly, Gen: GenParams{Size: 128, Mode: Zipfian, ZipfTheta: 1.5}}}); err == nil {
 		t.Error("bad zipf theta accepted")
 	}
-	if _, err := BuildRigPorts(base, []PortConfig{{Type: ReadOnly, Size: 100}}); err == nil {
+	if _, err := BuildRigPorts(base, []PortConfig{{Type: ReadOnly, Gen: GenParams{Size: 100}}}); err == nil {
 		t.Error("invalid payload size accepted")
 	}
-	if _, err := BuildRigPorts(base, []PortConfig{{Type: ReadOnly, Size: 128, Mode: Hotspot, HotRate: 2}}); err == nil {
+	if _, err := BuildRigPorts(base, []PortConfig{{Type: ReadOnly, Gen: GenParams{Size: 128, Mode: Hotspot, HotRate: 2}}}); err == nil {
 		t.Error("bad hot rate accepted")
+	}
+	// A negative port count is an error, not a makeslice panic.
+	if _, err := Run(Config{Ports: -1}); err == nil || !strings.Contains(err.Error(), "negative port count") {
+		t.Errorf("Ports -1: %v, want the negative port count error", err)
 	}
 }
 

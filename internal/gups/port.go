@@ -106,25 +106,12 @@ func (m *Monitor) Reset() {
 	}
 }
 
-// PortConfig configures one GUPS port.
+// PortConfig configures one GUPS port: its request mix, an optional
+// arrival clock and window cap, and its address stream.
 type PortConfig struct {
 	Type ReqType
-	Size int
-	Mode Mode
 	// ReadFraction is the read share for Type == Mixed (0..1).
 	ReadFraction float64
-	ZeroMask     uint64
-	OneMask      uint64
-	Seed         uint64
-	LinearStart  uint64
-
-	// ZipfTheta, HotFraction, HotRate, StrideBytes and JumpEvery
-	// parameterize the non-uniform address modes (see GenParams);
-	// zero values select the generator defaults.
-	ZipfTheta            float64
-	HotFraction, HotRate float64
-	StrideBytes          uint64
-	JumpEvery            int
 
 	// Arrivals switches the port to open-loop injection: requests
 	// arrive on this clock instead of one per backend issue cycle.
@@ -139,6 +126,14 @@ type PortConfig struct {
 	// writes by min(write depth, Outstanding). Zero keeps the full
 	// hardware depths.
 	Outstanding int
+
+	// Gen is the port's address stream: mode, request size, mask
+	// registers, seed, linear start and the non-uniform modes'
+	// parameters (zero values select the generator defaults). NewPort
+	// sets its CapMask to the backend's. It comes last so that the
+	// fields the issue loop reads (Type, Arrivals, Gen.Size) sit in
+	// the config's first 64 bytes.
+	Gen GenParams
 }
 
 // Arrivals is an open-loop arrival clock. Next returns the arrival
@@ -191,23 +186,19 @@ type Port struct {
 // NewPort builds port id of a backend.
 func NewPort(id int, b mem.Backend, cfg PortConfig) *Port {
 	lim := b.Limits()
+	cfg.Gen.CapMask = b.CapMask()
 	p := &Port{
-		cfg:  cfg,
-		eng:  b.Engine(),
-		port: b.Port(id),
-		gen: NewAddrGenParams(GenParams{
-			Mode: cfg.Mode, Size: cfg.Size, ZeroMask: cfg.ZeroMask, OneMask: cfg.OneMask,
-			CapMask: b.CapMask(), Seed: cfg.Seed, LinearStart: cfg.LinearStart,
-			ZipfTheta: cfg.ZipfTheta, HotFraction: cfg.HotFraction, HotRate: cfg.HotRate,
-			StrideBytes: cfg.StrideBytes, JumpEvery: cfg.JumpEvery,
-		}),
+		cfg:        cfg,
+		eng:        b.Engine(),
+		port:       b.Port(id),
+		gen:        NewAddrGenParams(cfg.Gen),
 		tagDepth:   lim.ReadDepth,
 		wfifoDepth: lim.WriteDepth,
 		interval:   lim.IssueInterval,
-		wireRead:   uint64(b.WireBytes(false, cfg.Size)),
-		wireWrite:  uint64(b.WireBytes(true, cfg.Size)),
+		wireRead:   uint64(b.WireBytes(false, cfg.Gen.Size)),
+		wireWrite:  uint64(b.WireBytes(true, cfg.Gen.Size)),
 		rmwPending: sim.NewQueue[uint64](0),
-		mixRNG:     sim.NewRNG(cfg.Seed ^ 0xa5a5a5a5),
+		mixRNG:     sim.NewRNG(cfg.Gen.Seed ^ 0xa5a5a5a5),
 		mon:        NewMonitor(),
 	}
 	if cfg.Outstanding > 0 {
@@ -353,10 +344,10 @@ func (p *Port) tryIssue() {
 	}
 	if write {
 		p.writesOut++
-		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Size, Write: true}, p.writeDone)
+		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Gen.Size, Write: true}, p.writeDone)
 	} else {
 		p.tagsInUse++
-		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Size}, p.readDone)
+		p.port.Submit(mem.Request{Addr: addr, Size: p.cfg.Gen.Size}, p.readDone)
 	}
 	if a := p.cfg.Arrivals; a != nil {
 		// The absolute arrival schedule: advance from the previous
@@ -395,7 +386,7 @@ func (p *Port) armRetry(at sim.Time) {
 func (p *Port) onReadDone(r mem.Result) {
 	p.tagsInUse--
 	if p.mon.measuring && !r.Err {
-		p.mon.Record(false, r, p.wireRead, uint64(p.cfg.Size))
+		p.mon.Record(false, r, p.wireRead, uint64(p.cfg.Gen.Size))
 	}
 	if p.cfg.Type == ReadModifyWrite && !r.Err {
 		p.rmwPending.Push(r.Req.Addr)
@@ -406,7 +397,7 @@ func (p *Port) onReadDone(r mem.Result) {
 func (p *Port) onWriteDone(r mem.Result) {
 	p.writesOut--
 	if p.mon.measuring && !r.Err {
-		p.mon.Record(true, r, p.wireWrite, uint64(p.cfg.Size))
+		p.mon.Record(true, r, p.wireWrite, uint64(p.cfg.Gen.Size))
 	}
 	p.tryIssue()
 }

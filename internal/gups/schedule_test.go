@@ -30,8 +30,7 @@ func TestScheduleAbsoluteCatchUp(t *testing.T) {
 	horizon := 400 * sim.Microsecond
 	rig, err := BuildRigPorts(Config{Seed: 3}, []PortConfig{{
 		Type:        ReadOnly,
-		Size:        128,
-		Seed:        PortSeed(3, 0),
+		Gen:         GenParams{Size: 128, Seed: PortSeed(3, 0)},
 		Arrivals:    stallClock{},
 		Outstanding: 4,
 	}})

@@ -117,23 +117,15 @@ func (e *opTimeout) Fire(*sim.Engine) { e.op.fireTimeout() }
 // newTenantDriver lowers tenant index ti of the (defaulted) spec onto
 // a backend, issuing through port: the backend's own Port(ti), or the
 // mesh port a Remote tenant crosses shards through, while capacity,
-// limits and wire costs still come from the backend. The seed and
-// linear-start derivations match the GUPS rig's per-port ones, keyed
-// by tenant index, so a spec replays byte-identically across runs and
-// worker counts.
+// limits and wire costs still come from the backend. The traffic is
+// the tenant's lowering keyed by tenant index, so a spec replays
+// byte-identically across runs and worker counts.
 func newTenantDriver(be mem.Backend, port mem.Port, t Tenant, ti int, o Options, horizon sim.Time) (*tenantDriver, error) {
-	ty, err := t.reqType()
+	ty, gen, err := t.traffic(o.Seed, ti)
 	if err != nil {
 		return nil, err
 	}
-	mode, err := gups.ModeByName(t.Access.Kind)
-	if err != nil {
-		return nil, err
-	}
-	zeroMask, err := t.zeroMask()
-	if err != nil {
-		return nil, err
-	}
+	gen.CapMask = be.CapMask()
 	startAt := sim.Time(t.Start)
 	if t.Stop > 0 && sim.Time(t.Stop) < horizon {
 		horizon = sim.Time(t.Stop)
@@ -142,23 +134,11 @@ func newTenantDriver(be mem.Backend, port mem.Port, t Tenant, ti int, o Options,
 	if window == 0 {
 		window = be.Limits().ReadDepth
 	}
-	seed := gups.PortSeed(o.Seed, ti)
 	d := &tenantDriver{
-		eng:  be.Engine(),
-		port: port,
-		gen: gups.NewAddrGenParams(gups.GenParams{
-			Mode: mode, Size: t.Size,
-			ZeroMask:    zeroMask,
-			CapMask:     be.CapMask(),
-			Seed:        seed,
-			LinearStart: gups.PortLinearStart(ti),
-			ZipfTheta:   t.Access.ZipfTheta,
-			HotFraction: t.Access.HotFraction,
-			HotRate:     t.Access.HotRate,
-			StrideBytes: t.Access.StrideBytes,
-			JumpEvery:   t.Access.JumpEvery,
-		}),
-		mixRNG:   sim.NewRNG(seed ^ 0xa5a5a5a5),
+		eng:      be.Engine(),
+		port:     port,
+		gen:      gups.NewAddrGenParams(gen),
+		mixRNG:   sim.NewRNG(gen.Seed ^ 0xa5a5a5a5),
 		readFrac: t.ReadFraction,
 		write:    ty == gups.WriteOnly,
 		mixed:    ty == gups.Mixed,
@@ -167,10 +147,10 @@ func newTenantDriver(be mem.Backend, port mem.Port, t Tenant, ti int, o Options,
 		window:   window * t.Ports,
 		capacity: be.CapacityBytes(),
 		offset:   t.Access.OffsetBytes,
-		reject:   mode == gups.Random || mode == gups.Zipfian || mode == gups.Hotspot,
+		reject:   gen.Mode == gups.Random || gen.Mode == gups.Zipfian || gen.Mode == gups.Hotspot,
 		horizon:  horizon,
 		// The tenant's ports pace as one aggregate stream.
-		arrivals:  newArrivals(t, t.Ports, seed, horizon),
+		arrivals:  newArrivals(t, t.Ports, gen.Seed, horizon),
 		startAt:   startAt,
 		nextIssue: startAt,
 		wireRead:  uint64(be.WireBytes(false, t.Size)),

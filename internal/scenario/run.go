@@ -354,46 +354,24 @@ func runPorts(spec Spec, o Options, mesh *sim.Mesh) (Result, error) {
 
 // buildRigs lowers the tenants onto per-port GUPS configs and builds
 // one AC-510 board per group (the EX-700 carrier shape when Groups >
-// 1), each holding its tenants' ports in spec order. The seed and
-// linear-start derivations match the full-scale GUPS rig's, keyed by
-// the global port index, so a single-tenant uniform scenario
-// reproduces gups.Run byte-identically and tenant streams do not
-// depend on the partition. owners[g][i] is the tenant behind board g's
-// port i.
+// 1), each holding its tenants' ports in spec order. Each port's
+// traffic is its tenant's lowering keyed by the global port index, so
+// a single-tenant uniform scenario reproduces gups.Run
+// byte-identically, tenant streams do not depend on the partition,
+// and splitting a tenant of k ports into k one-port tenants changes
+// nothing. owners[g][i] is the tenant behind board g's port i.
 func buildRigs(spec Spec, o Options, mesh *sim.Mesh) ([]*gups.Rig, [][]int, error) {
 	pcs := make([][]gups.PortConfig, spec.Groups)
 	owners := make([][]int, spec.Groups)
 	gi := 0
 	for ti, t := range spec.Tenants {
-		ty, err := t.reqType()
-		if err != nil {
-			return nil, nil, err
-		}
-		mode, err := gups.ModeByName(t.Access.Kind)
-		if err != nil {
-			return nil, nil, err
-		}
-		zeroMask, err := t.zeroMask()
-		if err != nil {
-			return nil, nil, err
-		}
 		for k := 0; k < t.Ports; k++ {
-			pc := gups.PortConfig{
-				Type:         ty,
-				Size:         t.Size,
-				Mode:         mode,
-				ReadFraction: t.ReadFraction,
-				ZeroMask:     zeroMask,
-				Seed:         gups.PortSeed(o.Seed, gi),
-				LinearStart:  gups.PortLinearStart(gi),
-				ZipfTheta:    t.Access.ZipfTheta,
-				HotFraction:  t.Access.HotFraction,
-				HotRate:      t.Access.HotRate,
-				StrideBytes:  t.Access.StrideBytes,
-				JumpEvery:    t.Access.JumpEvery,
-				Outstanding:  t.Inject.Outstanding,
+			ty, gen, err := t.traffic(o.Seed, gi)
+			if err != nil {
+				return nil, nil, err
 			}
-			if a := newArrivals(t, 1, pc.Seed, o.Warmup+o.Measure); a != nil {
+			pc := gups.PortConfig{Type: ty, ReadFraction: t.ReadFraction, Gen: gen, Outstanding: t.Inject.Outstanding}
+			if a := newArrivals(t, 1, gen.Seed, o.Warmup+o.Measure); a != nil {
 				// Each port paces its own share of the tenant's rate.
 				pc.Arrivals = a
 			}

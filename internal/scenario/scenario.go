@@ -239,29 +239,50 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// reqType resolves the tenant mix name.
-func (t Tenant) reqType() (gups.ReqType, error) {
+// traffic lowers the tenant's mix, address kind and footprint pattern
+// onto the GUPS request type and address stream of one traffic source:
+// a global port index on the port runner, a tenant index on the
+// driver runner. The source keys the seed and the linear start as
+// gups.BuildRig keys its ports, so a one-tenant uniform spec
+// reproduces gups.Run. The caller adds the backend's capacity mask.
+func (t Tenant) traffic(seed uint64, source int) (gups.ReqType, gups.GenParams, error) {
+	var ty gups.ReqType
 	switch t.Mix {
 	case "ro":
-		return gups.ReadOnly, nil
+		ty = gups.ReadOnly
 	case "wo":
-		return gups.WriteOnly, nil
+		ty = gups.WriteOnly
 	case "rw":
-		return gups.ReadModifyWrite, nil
+		ty = gups.ReadModifyWrite
 	case "mix":
-		return gups.Mixed, nil
+		ty = gups.Mixed
+	default:
+		return 0, gups.GenParams{}, fmt.Errorf("scenario: unknown mix %q (want ro, wo, rw or mix)", t.Mix)
 	}
-	return 0, fmt.Errorf("scenario: unknown mix %q (want ro, wo, rw or mix)", t.Mix)
-}
-
-// zeroMask resolves the tenant's footprint pattern to its address
-// zero mask (0 = the whole device).
-func (t Tenant) zeroMask() (uint64, error) {
-	if t.Pattern == "" || t.Pattern == "full" {
-		return 0, nil
+	mode, err := gups.ModeByName(t.Access.Kind)
+	if err != nil {
+		return 0, gups.GenParams{}, err
 	}
-	p, err := workloads.ByName(t.Pattern)
-	return p.ZeroMask, err
+	var zeroMask uint64
+	if t.Pattern != "" && t.Pattern != "full" {
+		p, err := workloads.ByName(t.Pattern)
+		if err != nil {
+			return 0, gups.GenParams{}, err
+		}
+		zeroMask = p.ZeroMask
+	}
+	return ty, gups.GenParams{
+		Mode:        mode,
+		Size:        t.Size,
+		ZeroMask:    zeroMask,
+		Seed:        gups.PortSeed(seed, source),
+		LinearStart: gups.PortLinearStart(source),
+		ZipfTheta:   t.Access.ZipfTheta,
+		HotFraction: t.Access.HotFraction,
+		HotRate:     t.Access.HotRate,
+		StrideBytes: t.Access.StrideBytes,
+		JumpEvery:   t.Access.JumpEvery,
+	}, nil
 }
 
 // Validate checks a spec without building anything.
@@ -322,7 +343,7 @@ func (s Spec) Validate() error {
 		if t.Name == "" {
 			return fmt.Errorf("scenario %q: tenant needs a name", s.Name)
 		}
-		ty, err := t.reqType()
+		ty, gen, err := t.traffic(0, 0)
 		if err != nil {
 			return fmt.Errorf("scenario %q tenant %q: %w", s.Name, t.Name, err)
 		}
@@ -350,25 +371,11 @@ func (s Spec) Validate() error {
 		if t.QoS.Class != "" && t.QoS.TargetNs <= 0 {
 			return fmt.Errorf("scenario %q tenant %q: QoS class %q needs TargetNs > 0", s.Name, t.Name, t.QoS.Class)
 		}
-		mode, err := gups.ModeByName(t.Access.Kind)
-		if err != nil {
+		if err := gen.Validate(); err != nil {
 			return fmt.Errorf("scenario %q tenant %q: %w", s.Name, t.Name, err)
 		}
-		gp := gups.GenParams{
-			Mode: mode, Size: t.Size, ZipfTheta: t.Access.ZipfTheta,
-			HotFraction: t.Access.HotFraction, HotRate: t.Access.HotRate,
-			StrideBytes: t.Access.StrideBytes, JumpEvery: t.Access.JumpEvery,
-		}
-		if err := gp.Validate(); err != nil {
-			return fmt.Errorf("scenario %q tenant %q: %w", s.Name, t.Name, err)
-		}
-		if t.Pattern != "" && t.Pattern != "full" {
-			if s.Backend != "hmc" {
-				return fmt.Errorf("scenario %q tenant %q: footprint patterns name HMC geometry and need the hmc backend", s.Name, t.Name)
-			}
-			if _, err := workloads.ByName(t.Pattern); err != nil {
-				return fmt.Errorf("scenario %q tenant %q: %w", s.Name, t.Name, err)
-			}
+		if t.Pattern != "" && t.Pattern != "full" && s.Backend != "hmc" {
+			return fmt.Errorf("scenario %q tenant %q: footprint patterns name HMC geometry and need the hmc backend", s.Name, t.Name)
 		}
 		if t.Access.OffsetBytes != 0 {
 			if s.Backend == "hmc" {

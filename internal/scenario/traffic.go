@@ -365,7 +365,8 @@ func applyTraffic(s Spec, o Options) (Spec, error) {
 }
 
 // ParseTraffic parses the compact traffic grammar the CLIs accept
-// (rates are per-port MRPS, durations accept ps/ns/us/ms suffixes):
+// (rates are per-port MRPS; durations are sim.ParseDuration's, the
+// grammar fault plans use):
 //
 //	open:4                         fixed open loop at 4 MRPS
 //	phases:2@100us,~8@100us        phase script; ~ ramps to the next rate
@@ -399,7 +400,7 @@ func ParseTraffic(s string) (Injection, error) {
 			if err != nil {
 				return Injection{}, err
 			}
-			d, err := parseDur(ds)
+			d, err := sim.ParseDuration(ds)
 			if err != nil {
 				return Injection{}, err
 			}
@@ -427,11 +428,11 @@ func ParseTraffic(s string) (Injection, error) {
 		if err != nil {
 			return Injection{}, err
 		}
-		bd, err := parseDur(bds)
+		bd, err := sim.ParseDuration(bds)
 		if err != nil {
 			return Injection{}, err
 		}
-		id, err := parseDur(ids)
+		id, err := sim.ParseDuration(ids)
 		if err != nil {
 			return Injection{}, err
 		}
@@ -453,7 +454,7 @@ func ParseTraffic(s string) (Injection, error) {
 		if err != nil {
 			return Injection{}, err
 		}
-		period, err := parseDur(ps)
+		period, err := sim.ParseDuration(ps)
 		if err != nil {
 			return Injection{}, err
 		}
@@ -479,13 +480,13 @@ func FormatTraffic(in Injection) string {
 			if p.Ramp {
 				ramp = "~"
 			}
-			parts[i] = fmt.Sprintf("%s%s@%s", ramp, formatRate(p.RateMRPS), formatDur(p.Duration))
+			parts[i] = fmt.Sprintf("%s%s@%s", ramp, formatRate(p.RateMRPS), sim.FormatDuration(p.Duration))
 		}
 		return "phases:" + strings.Join(parts, ",")
 	case "burst":
 		return fmt.Sprintf("burst:%s/%s@%s/%s",
 			formatRate(in.BurstMRPS), formatRate(in.IdleMRPS),
-			formatDur(in.BurstDwell), formatDur(in.IdleDwell))
+			sim.FormatDuration(in.BurstDwell), sim.FormatDuration(in.IdleDwell))
 	}
 	return ""
 }
@@ -500,41 +501,4 @@ func parseRate(s string) (float64, error) {
 
 func formatRate(r float64) string {
 	return strconv.FormatFloat(r, 'g', -1, 64)
-}
-
-// parseDur parses a simulated duration with a ps/ns/us/ms suffix.
-func parseDur(s string) (sim.Duration, error) {
-	unit := sim.Duration(0)
-	num := s
-	switch {
-	case strings.HasSuffix(s, "us"):
-		unit, num = sim.Microsecond, strings.TrimSuffix(s, "us")
-	case strings.HasSuffix(s, "ms"):
-		unit, num = sim.Millisecond, strings.TrimSuffix(s, "ms")
-	case strings.HasSuffix(s, "ns"):
-		unit, num = sim.Nanosecond, strings.TrimSuffix(s, "ns")
-	case strings.HasSuffix(s, "ps"):
-		unit, num = sim.Picosecond, strings.TrimSuffix(s, "ps")
-	default:
-		return 0, fmt.Errorf("traffic: duration %q needs a ps/ns/us/ms suffix", s)
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 9e18/float64(unit) {
-		return 0, fmt.Errorf("traffic: bad duration %q", s)
-	}
-	return sim.Duration(math.Round(v * float64(unit))), nil
-}
-
-// formatDur renders a duration in the largest unit that divides it.
-func formatDur(d sim.Duration) string {
-	switch {
-	case d != 0 && d%sim.Millisecond == 0:
-		return fmt.Sprintf("%dms", d/sim.Millisecond)
-	case d != 0 && d%sim.Microsecond == 0:
-		return fmt.Sprintf("%dus", d/sim.Microsecond)
-	case d != 0 && d%sim.Nanosecond == 0:
-		return fmt.Sprintf("%dns", d/sim.Nanosecond)
-	default:
-		return fmt.Sprintf("%dps", d)
-	}
 }

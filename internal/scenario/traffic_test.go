@@ -384,8 +384,8 @@ func TestParseTrafficErrors(t *testing.T) {
 		"phases:",
 		"phases:2",
 		"phases:2@",
-		"phases:2@10", // missing duration suffix
-		"phases:2@10s",
+		"phases:2@10",  // missing duration suffix
+		"phases:2@10m", // no such unit
 		"burst:8@10us/20us",
 		"burst:8/1@10us",
 		"burst:8/1@10us/x",

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -150,6 +151,8 @@ func TestTimeString(t *testing.T) {
 		{3 * Millisecond, "3.000ms"},
 		{2 * Second, "2.000s"},
 		{-1500, "-1.50ns"},
+		// -t overflows back to t here; the string must not recurse.
+		{math.MinInt64, "-9223372.037s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {

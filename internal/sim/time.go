@@ -13,7 +13,12 @@
 // results byte-identical at every worker count.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Time is a simulated timestamp measured in integer picoseconds.
 //
@@ -46,6 +51,9 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64:
+		// -t overflows back to t; one picosecond less prints the same.
+		return "-" + Time(math.MaxInt64).String()
 	case t < 0:
 		return fmt.Sprintf("-%s", (-t).String())
 	case t < Nanosecond:
@@ -64,3 +72,64 @@ func (t Time) String() string {
 // FromNanoseconds converts a float64 nanosecond value into a Time,
 // rounding to the nearest picosecond.
 func FromNanoseconds(ns float64) Time { return Time(ns*1000 + 0.5) }
+
+// durationUnits are the suffixes of the duration grammar, smallest
+// first, so ParseDuration tries the two-letter suffixes before "s".
+var durationUnits = []struct {
+	suffix string
+	unit   Duration
+}{
+	{"ps", Picosecond},
+	{"ns", Nanosecond},
+	{"us", Microsecond},
+	{"ms", Millisecond},
+	{"s", Second},
+}
+
+// ParseDuration parses the duration grammar that fault plans and
+// traffic overlays share: a finite, non-negative number with a ps,
+// ns, us, ms or s suffix ("220ns", "1.5us", "2s"). Integers convert
+// exactly; fractions round to the nearest picosecond. NaN, infinite,
+// negative and out-of-range values are errors.
+func ParseDuration(s string) (Duration, error) {
+	for _, u := range durationUnits {
+		num, ok := strings.CutSuffix(s, u.suffix)
+		if !ok || num == "" {
+			continue
+		}
+		if n, err := strconv.ParseInt(num, 10, 64); err == nil {
+			if n < 0 {
+				return 0, fmt.Errorf("negative duration %q", s)
+			}
+			if n > math.MaxInt64/int64(u.unit) {
+				return 0, fmt.Errorf("duration %q overflows the picosecond clock", s)
+			}
+			return Duration(n) * u.unit, nil
+		}
+		v, err := strconv.ParseFloat(num, 64)
+		if err != nil || math.IsNaN(v) {
+			return 0, fmt.Errorf("bad duration %q", s)
+		}
+		if v < 0 {
+			return 0, fmt.Errorf("negative duration %q", s)
+		}
+		ps := math.Round(v * float64(u.unit))
+		if ps >= math.MaxInt64 { // 2^63 as a float64; catches +Inf
+			return 0, fmt.Errorf("duration %q overflows the picosecond clock", s)
+		}
+		return Duration(ps), nil
+	}
+	return 0, fmt.Errorf("duration %q needs a ps, ns, us, ms or s suffix", s)
+}
+
+// FormatDuration renders d >= 0 in the ParseDuration grammar, in the
+// largest unit that divides it exactly ("0ps" for zero), so
+// ParseDuration reads back exactly d.
+func FormatDuration(d Duration) string {
+	for i := len(durationUnits) - 1; i > 0; i-- {
+		if u := durationUnits[i]; d != 0 && d%u.unit == 0 {
+			return strconv.FormatInt(int64(d/u.unit), 10) + u.suffix
+		}
+	}
+	return strconv.FormatInt(int64(d), 10) + "ps"
+}

@@ -110,22 +110,15 @@ func ByName(name string) (Pattern, error) {
 	return Pattern{}, fmt.Errorf("workloads: unknown pattern %q", name)
 }
 
-// MaskSweep returns the Figure 6 mask positions: an eight-bit zero
-// mask applied at descending bit offsets, with the paper's x-axis
-// labels.
-type MaskPosition struct {
-	Label    string
-	ZeroMask uint64
-}
-
 // Figure6Masks returns the seven mask positions of Figure 6, in the
-// paper's x-axis order.
-func Figure6Masks() []MaskPosition {
+// paper's x-axis order: an eight-bit zero mask at descending bit
+// offsets, each a pattern named by its bit range ("24-31", ...).
+func Figure6Masks() []Pattern {
 	ranges := [][2]int{{24, 31}, {10, 17}, {7, 14}, {3, 10}, {2, 9}, {1, 8}, {0, 7}}
-	out := make([]MaskPosition, 0, len(ranges))
+	out := make([]Pattern, 0, len(ranges))
 	for _, r := range ranges {
-		out = append(out, MaskPosition{
-			Label:    fmt.Sprintf("%d-%d", r[0], r[1]),
+		out = append(out, Pattern{
+			Name:     fmt.Sprintf("%d-%d", r[0], r[1]),
 			ZeroMask: hmc.BitRangeMask(r[0], r[1]),
 		})
 	}

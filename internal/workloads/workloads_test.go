@@ -106,13 +106,13 @@ func TestFigure6Masks(t *testing.T) {
 		"0-7":   {8, 16},
 	}
 	for _, mp := range masks {
-		want, ok := expect[mp.Label]
+		want, ok := expect[mp.Name]
 		if !ok {
 			continue
 		}
 		v, b := Coverage(m, mp.ZeroMask)
 		if v != want[0] || b != want[1] {
-			t.Errorf("mask %s: %d vaults x %d banks, want %dx%d", mp.Label, v, b, want[0], want[1])
+			t.Errorf("mask %s: %d vaults x %d banks, want %dx%d", mp.Name, v, b, want[0], want[1])
 		}
 	}
 }

@@ -11,7 +11,9 @@
 #   2. cmd/figures -serve-check: a scn-* experiment replayed through
 #      the server matches the registry's own report byte for byte,
 #      plain, under a traffic/SLO overlay, and under fault injection.
-#   3. Invalid options (a fault plan Run rejects) get 400, not 500.
+#   3. Invalid options (a fault plan Run rejects, and a NaN duration
+#      that once overflowed the stack and killed the server) get 400,
+#      not 500, and the server still answers /healthz afterwards.
 #   4. Graceful shutdown mid-job: SIGTERM while an async sweep is
 #      running drains through the context plumbing and exits 0.
 #
@@ -66,6 +68,13 @@ code=$(curl -sS -o "$work/b3" -w '%{http_code}' -X POST \
   -d '{"name": "uniform", "options": {"faults": {"plan": "rate=9"}}}' "http://$addr/v1/run")
 [ "$code" = 400 ] || { echo "smoke_hmcsimd: bad fault plan answered $code, want 400"; cat "$work/b3"; exit 1; }
 echo "   ok: $(cat "$work/b3")"
+code=$(curl -sS -o "$work/b3" -w '%{http_code}' -X POST \
+  -d '{"name":"uniform","options":{"faults":{"plan":"retry=NaNus"}}}' "http://$addr/v1/run")
+[ "$code" = 400 ] || { echo "smoke_hmcsimd: NaN fault duration answered $code, want 400"; cat "$work/b3"; exit 1; }
+echo "   ok: $(cat "$work/b3")"
+code=$(curl -sS -o "$work/b3" -w '%{http_code}' "http://$addr/healthz")
+[ "$code" = 200 ] || { echo "smoke_hmcsimd: /healthz answered $code after the NaN request, want 200"; cat "$work/b3"; exit 1; }
+echo "   ok: still healthy"
 
 echo "== 4. graceful shutdown mid-job"
 job=$(curl -sS -X POST -d '{
