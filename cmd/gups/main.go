@@ -18,14 +18,21 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 
 	"hmcsim/internal/gups"
 	"hmcsim/internal/runner"
 	"hmcsim/internal/sim"
 )
 
+// fail prints err under the command's name once: errors from the gups
+// package already start with it.
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "gups:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "gups: ") {
+		msg = "gups: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }
 

@@ -62,6 +62,9 @@ func TestInvalidOptionsAre400(t *testing.T) {
 		"NaN retry cost": `{"name": "uniform", "options": {"faults": {"plan": "retry=NaNus"}}}`,
 		"NaN event time": `{"name": "uniform", "options": {"faults": {"plan": "fail=2@NaNus"}}}`,
 		"NaN error rate": `{"name": "uniform", "options": {"faults": {"plan": "rate=NaN"}}}`,
+		// A pacing interval beyond int64 picoseconds would convert to
+		// math.MinInt64 and clamp to 1 ps.
+		"overflowing open rate": `{"name": "uniform", "options": {"traffic": "open:1e-300"}}`,
 	} {
 		for _, ep := range []string{"/v1/run", "/v1/sweep", "/v1/jobs"} {
 			if resp, body := post(t, ts.URL+ep, req); resp.StatusCode != http.StatusBadRequest {

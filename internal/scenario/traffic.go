@@ -21,8 +21,9 @@ import (
 // picosecond pacing interval, the one rounding every mode shares:
 // rounding in picoseconds keeps the realized rate within rounding
 // error of the request instead of truncating to whole nanoseconds.
-// Validate rejects rates whose interval would round below 1 ps, so
-// the clamp here only guards mid-ramp float noise.
+// Validate rejects rates whose interval would round below 1 ps or
+// overflow the clock, so the clamp here only guards mid-ramp float
+// noise.
 func ratePacing(aggMRPS float64) sim.Duration {
 	iv := sim.Duration(math.Round(1000.0 / aggMRPS * float64(sim.Nanosecond)))
 	if iv < 1 {
@@ -145,7 +146,7 @@ func (t Tenant) validateInject() error {
 		if err := t.checkRate("BurstMRPS", in.BurstMRPS); err != nil {
 			return err
 		}
-		if in.IdleMRPS > 0 {
+		if in.IdleMRPS != 0 {
 			return t.checkRate("IdleMRPS", in.IdleMRPS)
 		}
 		return nil
@@ -155,11 +156,19 @@ func (t Tenant) validateInject() error {
 
 // checkRate rejects per-port rates whose aggregate pacing interval
 // would round below the kernel's 1 ps clock — the run would silently
-// realize a different rate than requested.
+// realize a different rate than requested — and NaN rates and rates
+// whose one-port interval, the longest a run paces, overflows the
+// clock's int64 picoseconds.
 func (t Tenant) checkRate(what string, mrps float64) error {
+	if math.IsNaN(mrps) {
+		return fmt.Errorf("%s is NaN", what)
+	}
 	agg := mrps * float64(t.Ports)
 	if math.Round(1000.0/agg*float64(sim.Nanosecond)) < 1 {
 		return fmt.Errorf("%s %g MRPS x %d ports is beyond the kernel's 1 ps pacing resolution (aggregate rate must stay <= 2e6 MRPS)", what, mrps, t.Ports)
+	}
+	if 1000.0/mrps*float64(sim.Nanosecond) >= math.MaxInt64 { // 2^63 as a float64
+		return fmt.Errorf("%s %g MRPS paces arrivals further apart than the kernel's int64 picosecond clock reaches (rate must stay >= 1.1e-13 MRPS)", what, mrps)
 	}
 	return nil
 }

@@ -310,6 +310,15 @@ func TestTrafficValidation(t *testing.T) {
 			s.Tenants[0].Inject = Injection{Mode: "phased",
 				Phases: []RatePhase{{RateMRPS: 3e6, Duration: sim.Microsecond}}}
 		}},
+		{"open rate whose interval overflows the clock", func(s *Spec) {
+			s.Tenants[0].Inject = Injection{Mode: "open", RateMRPS: 1e-300}
+		}},
+		{"NaN open rate", func(s *Spec) {
+			s.Tenants[0].Inject = Injection{Mode: "open", RateMRPS: math.NaN()}
+		}},
+		{"NaN idle rate", func(s *Spec) {
+			s.Tenants[0].Inject.IdleMRPS = math.NaN()
+		}},
 		{"lifecycle stop not after start", func(s *Spec) {
 			s.Tenants[0].Start = 10 * sim.Microsecond
 			s.Tenants[0].Stop = 10 * sim.Microsecond

@@ -36,14 +36,19 @@ import (
 // RunUntil does) is passive: the cursor only commits to a new slot
 // when an event is actually popped, which also advances the clock.
 //
-// The slot width self-tunes: the queue keeps an EMA of the non-zero
-// gaps between successively popped timestamps and re-keys the wheel
-// when the ideal width drifts 4x from the current one, keeping both
-// ns-scale bank events and µs-scale pacing events O(1) amortized. The
-// ring doubles when the resident population outgrows it. Tuning
-// affects performance only — the pop order is exact (at, seq)
-// regardless of geometry, which is what the golden regressions and
-// the differential tests pin down.
+// The geometry self-tunes once per window of pops (one ring's worth,
+// at least calMinSlots): the window's mean non-zero pop-to-pop gap
+// sets the slot width, and a log2 histogram of its push deltas sets
+// the coverage to the smallest power of two above 99 % of them, so a
+// bimodal mix of ns-scale device events and µs-scale backlogs settles
+// on one geometry instead of chasing an average that lies between the
+// two. The wheel grows on any shortfall, shrinks or re-widths only at
+// wide bands, and the ring doubles at once when the resident
+// population outgrows it, keeping both ns-scale bank events and
+// µs-scale pacing events O(1) amortized. Tuning affects performance
+// only — the pop order is exact (at, seq) regardless of geometry,
+// which is what the golden regressions and the differential tests
+// pin down.
 //
 // At steady state (stable event population and inter-event gap) the
 // queue performs zero allocations: slot slices, the overflow heap and
@@ -54,9 +59,9 @@ import (
 // hands its storage on as a new, empty queue, which the next engine
 // adopts by copying it in (Engine.Release and NewEngine pass it
 // through a sync.Pool). Only performance state carries over: the slot
-// and buffer capacities, the ring size, the slot width and the two
-// EMAs. Every clock and ordering field — cursor, head, horizon, slotN,
-// the single register, pops, lastRekey and lastAt — starts fresh, and
+// and buffer capacities, the ring size and the slot width. Every clock
+// and ordering field — cursor, head, horizon, slotN, the single
+// register, lastAt and the window's statistics — starts fresh, and
 // since geometry never affects order, an adopted queue pops exactly
 // what a new one would.
 type calQueue struct {
@@ -83,11 +88,14 @@ type calQueue struct {
 	single    event
 	hasSingle bool
 
-	pops      uint64 // pop counter, drives periodic retuning
-	lastRekey uint64 // pops at the last re-key (cooldown guard)
-	lastAt    Time   // timestamp of the most recently popped event
-	emaGap    Time   // EMA of non-zero pop-to-pop timestamp gaps
-	emaDelta  Time   // EMA of push-time scheduling deltas (at - now)
+	// The tuning window: pops and timestamp advances since lastAt
+	// stood at winStart, and the wheel pushes' scheduling deltas
+	// (at - now), counted by bit length.
+	lastAt   Time // timestamp of the most recently popped event
+	winStart Time
+	winPops  int
+	winSteps int
+	deltas   [64]uint32
 
 	scratch []event // reusable buffer for re-keying
 }
@@ -95,15 +103,10 @@ type calQueue struct {
 const (
 	calMinSlots = 64
 	calMaxSlots = 1 << 10
-	calMinShift = 0  // 1 ps slots
 	calMaxShift = 36 // ~69 ms slots
 	// calInitShift is the width before any gap has been observed:
 	// 1.024 ns, matching the ns-scale events that dominate the models.
 	calInitShift = 10
-	// calTuneMask: evaluate the retune condition every 64 pops. Small
-	// enough that a cold queue re-keys during warmup (so steady state
-	// stays allocation-free), large enough to amortize the check.
-	calTuneMask = 64 - 1
 )
 
 func (q *calQueue) len() int {
@@ -138,14 +141,11 @@ func (q *calQueue) push(ev event, now Time) {
 
 // wheelPush places ev on the wheel or the overflow heap.
 func (q *calQueue) wheelPush(ev event, now Time) {
-	if delta := ev.at - now; delta > 0 {
-		q.emaDelta += (delta - q.emaDelta) >> 3
-	}
+	q.deltas[bits.Len64(uint64(ev.at-now))&63]++
 	if q.slots == nil {
 		q.slots = make([][]event, calMinSlots)
 		q.mask = calMinSlots - 1
 		q.shift = calInitShift
-		q.emaGap = q.width()
 		q.anchor(now)
 	} else if q.slotN == 0 && len(q.overflow) == 0 {
 		// Idle queue: re-anchor coverage at the clock so a long quiet
@@ -308,58 +308,63 @@ func (q *calQueue) headAt() (Time, bool) {
 	return 0, false
 }
 
-// tune folds the observed pop-to-pop gap into the width EMA and
-// periodically re-keys the wheel when its geometry has drifted away
-// from the workload. The cooldown keeps a pathological workload from
-// re-keying more than once per 64 pops.
+// tune records a pop at time at and, once the window holds a ring's
+// worth of pops, re-keys the wheel if its geometry has drifted away
+// from the window's ideal, then opens the next window. Re-keying costs
+// O(n), so evaluating once per ring's worth of pops keeps it O(1)
+// amortized, and the wide bands (grow on any shortfall, shrink only at
+// 8x excess, re-width only at 4x drift) stop a workload sitting on a
+// power-of-two boundary from thrashing between two geometries.
 func (q *calQueue) tune(at Time) {
-	if gap := at - q.lastAt; gap > 0 {
-		q.emaGap += (gap - q.emaGap) >> 3
-		if q.emaGap < 1 {
-			q.emaGap = 1
-		}
+	if at != q.lastAt {
+		q.lastAt = at
+		q.winSteps++
 	}
-	q.lastAt = at
-	q.pops++
-	// Re-keying costs O(n): the cooldown of one full wheel's worth of
-	// pops keeps it O(1) amortized, and the wide hysteresis bands
-	// (grow on any shortfall, shrink only at 8x excess, re-width only
-	// at 4x drift) stop a workload sitting on a power-of-two boundary
-	// from thrashing between two geometries.
-	if q.pops&calTuneMask != 0 || q.pops-q.lastRekey < uint64(len(q.slots)) {
+	if q.winPops++; q.winPops < len(q.slots) {
 		return
 	}
-	s, n := q.idealGeometry()
+	s, n, cover := q.idealGeometry()
 	ds := int(s) - int(q.shift)
-	if ds >= 2 || ds <= -2 || n > len(q.slots) || 8*n <= len(q.slots) {
+	if n > len(q.slots) || Time(len(q.slots))<<q.shift < cover ||
+		ds >= 2 || ds <= -2 || 8*n <= len(q.slots) {
 		q.rekey(s, n)
 	}
+	q.winStart, q.winPops, q.winSteps = q.lastAt, 0, 0
+	clear(q.deltas[:])
 }
 
-// idealGeometry derives the wheel geometry from the observed signals.
-// The slot width targets one to two average pop-to-pop gaps, so a
-// slot holds a couple of events and draining stays O(1). The slot
-// count then stretches the coverage window to about four average
-// scheduling deltas — so the typical push lands on the wheel directly
-// instead of detouring through the overflow heap and paying two
-// O(log n) sifts to migrate back — while also keeping the resident
-// population's load factor at or below two events per slot. When even
-// the maximum ring cannot cover the deltas at the gap-ideal width,
-// the width gives way: wider slots mean slightly larger per-slot
-// sorts but keep pushes O(1).
-func (q *calQueue) idealGeometry() (shift uint, nslots int) {
-	gap := q.emaGap
-	if gap < 1 {
-		gap = 1
+// idealGeometry derives the wheel geometry from the window's
+// statistics. The slot width targets one to two mean non-zero
+// pop-to-pop gaps, so a slot holds a couple of events and draining
+// stays O(1); a window whose pops all share one timestamp keeps the
+// current width. The slot count then stretches the coverage window
+// over 99 % of the window's scheduling deltas — so nearly every push
+// lands on the wheel directly instead of detouring through the
+// overflow heap and paying two O(log n) sifts to migrate back — while
+// also keeping the resident population's load factor at or below two
+// events per slot. A percentile, unlike a mean, does not swing with
+// the mix of a bimodal workload's two modes. When even the maximum
+// ring cannot cover the deltas at the gap-ideal width, the width gives
+// way: wider slots mean slightly larger per-slot sorts but keep pushes
+// O(1). cover is the coverage the geometry must reach, capped at the
+// widest wheel's.
+func (q *calQueue) idealGeometry() (shift uint, nslots int, cover Time) {
+	s := q.shift
+	if q.winSteps > 0 {
+		gap := (q.lastAt - q.winStart) / Time(q.winSteps)
+		s = min(uint(bits.Len64(uint64(gap))), calMaxShift)
 	}
-	s := uint(bits.Len64(uint64(gap)))
-	if s < calMinShift {
-		s = calMinShift
+	var total, run uint64
+	for _, c := range q.deltas {
+		total += uint64(c)
 	}
-	if s > calMaxShift {
-		s = calMaxShift
+	b := 0
+	for ; b < len(q.deltas)-1; b++ {
+		if run += uint64(q.deltas[b]); run >= total-total/100 {
+			break
+		}
 	}
-	cover := 4 * q.emaDelta
+	cover = Time(min(uint64(1)<<b, calMaxSlots<<calMaxShift))
 	need := (cover + (Time(1) << s) - 1) >> s
 	if pop := Time(q.len()) / 2; pop > need {
 		need = pop
@@ -374,14 +379,13 @@ func (q *calQueue) idealGeometry() (shift uint, nslots int) {
 			}
 		}
 	}
-	return s, n
+	return s, n, cover
 }
 
 // rekey rebuilds the wheel with a new slot width and/or slot count,
 // redistributing every pending event. Order is unaffected: events
 // carry their (at, seq) keys, and slots re-sort on cursor entry.
 func (q *calQueue) rekey(shift uint, nslots int) {
-	q.lastRekey = q.pops
 	q.scratch = q.scratch[:0]
 	for i, s := range q.slots {
 		from := 0
@@ -492,7 +496,6 @@ func (q *calQueue) release() *calQueue {
 		fresh = &calQueue{
 			slots: q.slots, mask: q.mask, shift: q.shift,
 			overflow: q.overflow[:0], scratch: q.scratch[:0],
-			emaGap: q.emaGap, emaDelta: q.emaDelta,
 		}
 	}
 	*q = calQueue{}

@@ -146,10 +146,22 @@ var deltaRegimes = []struct {
 		return Duration(r.Intn(int(4 * Millisecond))) // mostly overflow
 	}},
 	{"drifting", func(r *rand.Rand) Duration {
-		// Exponentially spread gaps drag the width EMA up and down,
-		// forcing re-keys in both directions.
+		// Exponentially spread deltas swing each window's mean pop
+		// gap and delta percentile up and down, forcing re-keys in
+		// both directions.
 		return Duration(r.Intn(15)+1) << uint(r.Intn(20))
 	}},
+	{"funnel", funnelDelta},
+}
+
+// funnelDelta is the delta mix of a deep backlog behind one funnelled
+// port: two thirds ns-scale device events (5-305 ns), one third a
+// µs-scale drain backlog (11-13 µs).
+func funnelDelta(r *rand.Rand) Duration {
+	if r.Intn(3) == 0 {
+		return 11*Microsecond + Duration(r.Intn(int(2*Microsecond)))
+	}
+	return 5*Nanosecond + Duration(r.Intn(int(300*Nanosecond)))
 }
 
 // TestQueueDifferentialRandom cross-checks random schedule/pop
@@ -225,6 +237,58 @@ func TestQueueDifferentialIdleJumps(t *testing.T) {
 	d.drain()
 }
 
+// TestQueueSettlesOnBimodalBacklog: a closed population of 576 events
+// (the read tags in flight at the paper's deepest load), each popped
+// event replaced by one funnelDelta ahead, settles on one geometry
+// whose coverage spans the µs-scale mode. After warm-up the wheel
+// changes geometry at most once, and at most 1 % of pushes detour
+// through the overflow heap. It runs on fresh storage and on storage
+// released after ns-only churn, as a cell's engine adopting the
+// wheel of a different workload's cell would.
+func TestQueueSettlesOnBimodalBacklog(t *testing.T) {
+	for _, adopted := range []bool{false, true} {
+		r := rand.New(rand.NewSource(5))
+		d := &diffDriver{t: t}
+		if adopted {
+			for i := 0; i < 64; i++ {
+				d.push(Duration(r.Intn(2000)))
+			}
+			for i := 0; i < 20000; i++ {
+				d.push(Duration(r.Intn(2000)))
+				d.pop()
+			}
+			d.release()
+		}
+		for i := 0; i < 576; i++ {
+			d.push(funnelDelta(r))
+		}
+		for i := 0; i < 20000; i++ {
+			d.pop()
+			d.push(funnelDelta(r))
+		}
+		shift, slots := d.q.shift, len(d.q.slots)
+		changes, overflowed := 0, 0
+		const pops = 200000
+		for i := 0; i < pops; i++ {
+			d.pop()
+			n := len(d.q.overflow)
+			d.push(funnelDelta(r))
+			if len(d.q.overflow) > n {
+				overflowed++
+			}
+			if d.q.shift != shift || len(d.q.slots) != slots {
+				shift, slots = d.q.shift, len(d.q.slots)
+				changes++
+			}
+		}
+		if changes > 1 || overflowed > pops/100 {
+			t.Errorf("adopted storage %v: %d geometry changes (want <= 1), %d of %d pushes to the overflow heap (want <= 1 %%)",
+				adopted, changes, overflowed, pops)
+		}
+		d.drain()
+	}
+}
+
 // TestQueueShrinkKeepsSlotStorage: a re-key that shrinks the ring
 // keeps the dropped slots' storage within the ring's capacity, and a
 // later regrowth gets it back.
@@ -236,8 +300,8 @@ func TestQueueShrinkKeepsSlotStorage(t *testing.T) {
 	}
 	grown := len(d.q.slots)
 	d.drain()
-	// Short-delta churn drags the delta EMA down until tune shrinks
-	// the ring.
+	// Short-delta churn fills a window with short deltas, and tune
+	// shrinks the ring at the window's end.
 	for i := 0; i < 4000 && len(d.q.slots) == grown; i++ {
 		d.push(Duration(r.Intn(4)))
 		d.push(Duration(r.Intn(4)))

@@ -106,6 +106,40 @@ func BenchmarkEngineMixedTimescale(b *testing.B) {
 	}
 }
 
+// backlogEvent reschedules itself with funnelDelta's mix, drawn from
+// the kernel's RNG: two thirds ns-scale device events (5-305 ns), one
+// third a µs-scale drain backlog (11-13 µs).
+type backlogEvent struct{ rng *RNG }
+
+func (h *backlogEvent) Fire(e *Engine) {
+	d := 5*Nanosecond + Duration(h.rng.Uint64n(uint64(300*Nanosecond)))
+	if h.rng.Uint64n(3) == 0 {
+		d = 11*Microsecond + Duration(h.rng.Uint64n(uint64(2*Microsecond)))
+	}
+	e.ScheduleHandler(d, h)
+}
+
+// BenchmarkEngineBimodalBacklog keeps TestQueueSettlesOnBimodalBacklog's
+// closed population of 576 events pending: each op fires one, which
+// reschedules itself. A queue that re-keys or overflows on this mix
+// pays for it here. The warm-up runs until the slots' capacities have
+// settled too, so CI can gate it at 0 allocs/op.
+func BenchmarkEngineBimodalBacklog(b *testing.B) {
+	e := NewEngine()
+	h := &backlogEvent{rng: NewRNG(1)}
+	for i := 0; i < 576; i++ {
+		h.Fire(e)
+	}
+	for i := 0; i < 100000; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
 func BenchmarkEngineScheduleClosure(b *testing.B) {
 	e := NewEngine()
 	var n uint64
@@ -201,8 +235,8 @@ func TestScheduleHandlerZeroAlloc(t *testing.T) {
 		h := &benchHandler{}
 		// Hold 64 events pending so every op exercises the wheel, and
 		// warm until the self-tuned geometry and the per-slot slice
-		// capacities settle (the queue re-keys from its gap/delta EMAs
-		// during the first warm cycles).
+		// capacities settle (the queue re-keys at the end of its first
+		// tuning windows).
 		for i := 0; i < 64; i++ {
 			e.ScheduleHandler(Duration(i), h)
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func FuzzQueueOrder(f *testing.F) {
 	// touching every other opcode, a release after far-future
 	// overflow traffic, and a release after a 40-event slot burst
 	// followed by a 20-event one, covering both sides of the sort
-	// cutoff.
+	// cutoff, and a closed population under the funnel regime.
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 4, 0, 7, 0, 4, 0, 4, 0})
 	f.Add([]byte{
 		0x00, 1, 0x10, 2, 0x20, 3, 0x30, 4, 0x40, 5,
@@ -39,6 +40,7 @@ func FuzzQueueOrder(f *testing.F) {
 	})
 	f.Add(overflowReleaseSeed())
 	f.Add(slotBurstSeed())
+	f.Add(funnelSeed())
 
 	f.Fuzz(func(t *testing.T, program []byte) {
 		d := &diffDriver{t: t}
@@ -99,5 +101,30 @@ func slotBurstSeed() []byte {
 	burst(40)
 	p = append(p, 0x0f, 0)
 	burst(20)
+	return p
+}
+
+// funnelSeed holds 48 events pending and replaces each popped one, for
+// 400 pops, with a delta drawn like funnelDelta's and quantised to the
+// encoding: 3-149 units of 2048 ps for the ns-scale mode, and the
+// encoding's largest delta, 255<<15 ps (8.4 µs), for the µs-scale
+// backlog. Its 448 pops span several tuning windows.
+func funnelSeed() []byte {
+	r := rand.New(rand.NewSource(9))
+	var p []byte
+	push := func() {
+		if r.Intn(3) == 0 {
+			p = append(p, 0xf0, 255)
+		} else {
+			p = append(p, 0xb0, byte(3+r.Intn(147)))
+		}
+	}
+	for i := 0; i < 48; i++ {
+		push()
+	}
+	for i := 0; i < 400; i++ {
+		p = append(p, 4, 0)
+		push()
+	}
 	return p
 }
